@@ -55,6 +55,8 @@ def _load_instance(args) -> SimplicialMap:
 
 
 def _subdivided(f: SimplicialMap, times: int) -> SimplicialMap:
+    if times < 0:
+        raise ValueError(f"--subdivide must be at least 0, got {times}")
     for _ in range(times):
         f, _, _ = subdivide_map(f)
     return f

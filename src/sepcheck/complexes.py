@@ -8,6 +8,7 @@ closed under taking faces.  Complexes are immutable after construction.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import combinations
 
 Simplex = tuple[str, ...]
@@ -35,6 +36,7 @@ class SimplicialComplex:
         self.dim = max((len(s) - 1 for s in simps), default=-1)
         self._by_dim: dict[int, list[Simplex]] = {}
         self._index: dict[int, dict[Simplex, int]] = {}
+        self._star: dict[str, list[Simplex]] | None = None
         # Facts inherited through barycentric subdivision (both are
         # subdivision invariants): certified closed-manifold dimensions
         # and Z2 Betti numbers.
@@ -56,15 +58,25 @@ class SimplicialComplex:
             self._index[d] = {s: i for i, s in enumerate(self.simplices_of_dim(d))}
         return self._index[d]
 
-    def has_simplex(self, s) -> bool:
-        return tuple(sorted(s)) in self.simplices
+    def _cofaces(self, s: Simplex):
+        """Simplices strictly containing the simplex ``s`` of this complex.
+
+        Scans the star of the vertex of ``s`` that lies in the fewest
+        simplices, through a per-vertex star index built on first use.
+        """
+        if self._star is None:
+            star: dict[str, list[Simplex]] = {v: [] for v in self.vertices}
+            for t in self.simplices:
+                for v in t:
+                    star[v].append(t)
+            self._star = star
+        sset = set(s)
+        for t in min((self._star[v] for v in s), key=len):
+            if len(t) > len(s) and sset.issubset(t):
+                yield t
 
     def maximal_simplices(self) -> list[Simplex]:
-        out = []
-        for s in self.simplices:
-            if not any(s != t and set(s) <= set(t) for t in self.simplices):
-                out.append(s)
-        return sorted(out)
+        return sorted(s for s in self.simplices if next(self._cofaces(s), None) is None)
 
     def euler_characteristic(self) -> int:
         chi = 0
@@ -94,10 +106,21 @@ class SimplicialComplex:
         }
 
     @staticmethod
-    def from_json_dict(d: dict) -> "SimplicialComplex":
-        if not isinstance(d.get("name"), str) or "maximal_simplices" not in d:
-            raise ValueError("complex file must have 'name' and 'maximal_simplices'")
-        return SimplicialComplex.from_maximal_simplices(d["name"], d["maximal_simplices"])
+    def from_json_dict(d) -> "SimplicialComplex":
+        """Complex from ``{"name": str, "maximal_simplices": [[str, ...], ...]}``.
+
+        Any other shape raises ValueError, so a malformed file is an input
+        error rather than a crash or a silently reinterpreted complex.
+        """
+        if not isinstance(d, dict) or not isinstance(d.get("name"), str):
+            raise ValueError("complex file must be a JSON object with a string 'name'")
+        maximal = d.get("maximal_simplices")
+        if not isinstance(maximal, list) or not all(
+                isinstance(s, list) and s and all(isinstance(v, str) for v in s)
+                for s in maximal):
+            raise ValueError(f"'maximal_simplices' of {d['name']!r} must be a list "
+                             "of non-empty lists of string vertex labels")
+        return SimplicialComplex.from_maximal_simplices(d["name"], maximal)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -223,14 +246,6 @@ def barycentric_subdivide(k: SimplicialComplex):
     return sd, vertex_of
 
 
-def subdivided_subcomplex(sd: SimplicialComplex, sub) -> Subcomplex:
-    """Image of a subcomplex under barycentric subdivision, inside Sd(parent)."""
-    simps = sub.simplices if isinstance(sub, Subcomplex) else sub
-    keep = {barycenter_label(s) for s in simps}
-    chosen = [s for s in sd.simplices if all(v in keep for v in s)]
-    return Subcomplex(sd, chosen)
-
-
 def complementary_complex(k: SimplicialComplex, f: Subcomplex) -> Subcomplex:
     """Full subcomplex of Sd(k) on barycenters of simplices outside f.
 
@@ -245,14 +260,16 @@ def complementary_complex(k: SimplicialComplex, f: Subcomplex) -> Subcomplex:
 
 
 def link(k: SimplicialComplex, s) -> SimplicialComplex:
+    """Link of ``s``: the simplices t with t ∩ s = ∅ and t ∪ s in k.
+
+    Those are exactly the differences t' - s over the cofaces t' of s, so
+    the cost is the size of one vertex star, not of the whole complex.
+    """
     s = tuple(sorted(s))
     if s not in k.simplices:
         raise ValueError(f"{s} is not a simplex of {k.name}")
     sset = set(s)
-    out = []
-    for t in k.simplices:
-        if sset.isdisjoint(t) and k.has_simplex(tuple(sorted(set(t) | sset))):
-            out.append(t)
+    out = [tuple(v for v in t if v not in sset) for t in k._cofaces(s)]
     return SimplicialComplex(f"lk({k.name},{'.'.join(s)})", out, _closed=True)
 
 
@@ -279,9 +296,9 @@ def manifold_certificate(k: SimplicialComplex, n: int):
         if s not in covered:
             failures.append(s)  # not pure
 
+    cofacets = Counter(f for t in top for f in combinations(t, n))
     for s in k.simplices_of_dim(n - 1):
-        cofacets = sum(1 for t in top if set(s) <= set(t))
-        if cofacets != 2:
+        if cofacets[s] != 2:
             failures.append(s)
 
     for s in sorted(k.simplices, key=lambda x: (len(x), x)):

@@ -64,9 +64,6 @@ class BitMatrix:
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
-    def to_lists(self) -> list[list[int]]:
-        return [vec_to_bits(r, self.cols) for r in self.data]
-
     def matvec(self, x: int) -> int:
         """Apply to a packed column vector; returns a packed vector of length rows."""
         out = 0
@@ -273,33 +270,6 @@ def inverse(m: BitMatrix) -> BitMatrix | None:
             row |= ((c >> i) & 1) << j
         data.append(row)
     return BitMatrix(n, n, tuple(data))
-
-
-class IntMatrix:
-    """Small dense matrix with exact signed integer entries.
-
-    Only used for the signed simplicial coboundary feeding the Bockstein;
-    entries stay in {-1, 0, 1} and one halving occurs downstream, so native
-    Python integers are more than safe.
-    """
-
-    def __init__(self, rows: int, cols: int, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = [[0] * cols for _ in range(rows)] if entries is None else entries
-
-    def __setitem__(self, ij, value):
-        i, j = ij
-        self.entries[i][j] = value
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def apply(self, x: list[int]) -> list[int]:
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum(row[j] * x[j] for j in range(self.cols)) for row in self.entries]
 
 
 # ---------------------------------------------------------------------------

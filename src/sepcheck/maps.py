@@ -47,13 +47,20 @@ class SimplicialMap:
         }
 
     @staticmethod
-    def from_json_dict(d: dict, complexes: dict[str, SimplicialComplex]) -> "SimplicialMap":
-        for key in ("name", "domain", "codomain", "vertex_map"):
-            if key not in d:
-                raise ValueError(f"map file missing key {key!r}")
+    def from_json_dict(d, complexes: dict[str, SimplicialComplex]) -> "SimplicialMap":
+        """Map from ``{"name", "domain", "codomain": str, "vertex_map": {str: str}}``."""
+        if not isinstance(d, dict):
+            raise ValueError("map file must be a JSON object")
+        for key in ("name", "domain", "codomain"):
+            if not isinstance(d.get(key), str):
+                raise ValueError(f"map file needs a string {key!r}")
+        vmap = d.get("vertex_map")
+        if not isinstance(vmap, dict) or not all(
+                isinstance(v, str) and isinstance(w, str) for v, w in vmap.items()):
+            raise ValueError("map file needs a 'vertex_map' from strings to strings")
         if d["domain"] not in complexes or d["codomain"] not in complexes:
             raise ValueError("map references unknown complex")
-        f = SimplicialMap(d["name"], complexes[d["domain"]], complexes[d["codomain"]], d["vertex_map"])
+        f = SimplicialMap(d["name"], complexes[d["domain"]], complexes[d["codomain"]], vmap)
         if not validate(f):
             raise ValueError(f"vertex map of {d['name']!r} is not simplicial")
         return f

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from sepcheck.catalog import build_catalog, catalog_list
 from sepcheck.cli import (
     EXIT_ASSERTION,
@@ -79,6 +81,41 @@ def test_cli_analyze_malformed_file_is_input_error(tmp_path, capsys):
     code = main(["analyze", "--map", str(bad)])
     capsys.readouterr()
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]",
+    '{"name": "k", "maximal_simplices": "abc"}',
+    '{"name": "k", "maximal_simplices": [[1, 2], [2, 3], [1, 3]]}',
+    '{"name": "k", "maximal_simplices": [["a", ["b"]]]}',
+], ids=["top_level_array", "string_simplices", "integer_labels", "nested_labels"])
+def test_cli_malformed_complex_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "k.json"
+    path.write_text(content)
+    code = main(["duality-check", "--complex", str(path)])
+    assert code == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    "5",
+    '{"name": "f", "domain": "path", "codomain": "path",'
+    ' "vertex_map": {"a": "a", "b": 1, "c": "c"}}',
+], ids=["top_level_number", "integer_image"])
+def test_cli_malformed_map_is_input_error(tmp_path, capsys, content):
+    cpath = tmp_path / "path.json"
+    SimplicialComplex.from_maximal_simplices("path", [["a", "b"], ["b", "c"]]).save(cpath)
+    mpath = tmp_path / "f.json"
+    mpath.write_text(content)
+    code = main(["oracle", "--complex", str(cpath), "--map", str(mpath)])
+    assert code == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_negative_subdivide_is_input_error(capsys):
+    code = main(["oracle", "--entry", "equator_s1_s2", "--subdivide", "-1"])
+    assert code == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
 
 
 def test_cli_analyze_unknown_entry_is_input_error(capsys):

@@ -1,8 +1,13 @@
 import json
+import time
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepcheck.catalog import (
+    build_catalog,
     circle,
     cross_polytope_s3,
     csaszar_torus,
@@ -182,3 +187,145 @@ def test_subcomplex_must_be_face_closed():
         Subcomplex(k, [("a", "b")])  # vertices missing
     with pytest.raises(ValueError):
         Subcomplex(k, [("a", "c")])  # not a simplex of the parent
+
+
+# -- local links against the brute-force definitions -------------------------
+
+def _link_reference(k, s):
+    """The link by definition: every t with t ∩ s = ∅ and t ∪ s in k."""
+    s = tuple(sorted(s))
+    out = [t for t in k.simplices
+           if set(s).isdisjoint(t) and tuple(sorted(set(t) | set(s))) in k.simplices]
+    return SimplicialComplex(f"lk({k.name},{'.'.join(s)})", out, _closed=True)
+
+
+def _certificate_reference(k, n):
+    """Closed-manifold certificate scanning every top simplex per ridge."""
+    from sepcheck.homology import betti_numbers, chain_complex
+
+    if k.dim != n or not k.simplices:
+        return {"is_closed_z2_homology_n_manifold": False,
+                "failures": sorted(k.simplices, key=lambda s: (len(s), s))[:1]}
+    failures = []
+    top = k.simplices_of_dim(n)
+    covered = {f for t in top for d in range(1, len(t) + 1) for f in combinations(t, d)}
+    failures += [s for s in k.simplices if s not in covered]
+    for s in k.simplices_of_dim(n - 1):
+        if sum(1 for t in top if set(s) <= set(t)) != 2:
+            failures.append(s)
+    for s in sorted(k.simplices, key=lambda x: (len(x), x)):
+        d = n - len(s)
+        lk = _link_reference(k, s)
+        if d < 0:
+            if lk.simplices:
+                failures.append(s)
+            continue
+        if not lk.simplices:
+            failures.append(s)
+            continue
+        b = betti_numbers(chain_complex(lk))
+        want = [2 if d == 0 else 1] + [0] * max(lk.dim, d)
+        if d > 0:
+            want[d] = 1
+        if [b.get(i, 0) for i in range(len(want))] != want:
+            failures.append(s)
+    return {"is_closed_z2_homology_n_manifold": not failures,
+            "failures": sorted(set(failures), key=lambda s: (len(s), s))}
+
+
+def _maximal_reference(k):
+    return sorted(s for s in k.simplices
+                  if not any(s != t and set(s) <= set(t) for t in k.simplices))
+
+
+def _catalog_complexes():
+    return {k.name: k for e in build_catalog().values() for k in e.complexes.values()}
+
+
+def _catalog_complexes_and_sd():
+    out = _catalog_complexes()
+    for k in list(out.values()):
+        sd, _ = barycentric_subdivide(k)
+        out.setdefault(sd.name, sd)
+    return out
+
+
+def _broken_complexes():
+    """A dangling edge, a removed triangle, two octahedra wedged at n."""
+    oct_faces = [list(s) for s in octahedron().maximal_simplices()]
+    dangling = SimplicialComplex.from_maximal_simplices(
+        "dangling", oct_faces + [["n", "x"]])
+    holed = SimplicialComplex.from_maximal_simplices("holed", oct_faces[1:])
+    copy = [[v if v == "n" else v.upper() for v in f] for f in oct_faces]
+    wedge = SimplicialComplex.from_maximal_simplices("wedge", oct_faces + copy)
+    return [dangling, holed, wedge]
+
+
+@st.composite
+def small_complexes(draw):
+    """Closure of up to 8 random simplices on at most 7 vertices, dim <= 3."""
+    verts = "abcdefg"
+    maximal = draw(st.lists(st.sets(st.sampled_from(verts), min_size=1, max_size=4),
+                            min_size=1, max_size=8))
+    return SimplicialComplex.from_maximal_simplices("random", [sorted(s) for s in maximal])
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_local_link_matches_definition_on_random_complexes(k):
+    for s in k.simplices:
+        assert link(k, s) == _link_reference(k, s)
+    assert k.maximal_simplices() == _maximal_reference(k)
+    assert manifold_certificate(k, k.dim) == _certificate_reference(k, k.dim)
+
+
+def test_local_link_matches_definition_on_catalog_and_sd():
+    for k in _catalog_complexes_and_sd().values():
+        simplices = sorted(k.simplices)
+        if len(simplices) > 1000:
+            # The reference scans every pair of simplices; on Sd of the
+            # 3-sphere (1,696 simplices) a fixed stride keeps every dimension.
+            simplices = simplices[::17]
+        for s in simplices:
+            assert link(k, s) == _link_reference(k, s)  # == compares names too
+
+
+def test_maximal_simplices_matches_brute_force():
+    for k in [*_catalog_complexes_and_sd().values(), *_broken_complexes()]:
+        if len(k.simplices) <= 1000:
+            assert k.maximal_simplices() == _maximal_reference(k)
+    sd, _ = barycentric_subdivide(cross_polytope_s3())
+    assert sd.maximal_simplices() == sd.simplices_of_dim(3)
+
+
+def test_certificate_matches_reference_on_catalog():
+    for k in _catalog_complexes().values():
+        fresh = SimplicialComplex(k.name, k.simplices, _closed=True)
+        want = _certificate_reference(fresh, k.dim)
+        assert want["is_closed_z2_homology_n_manifold"]
+        assert manifold_certificate(fresh, k.dim) == want
+
+
+def test_certificate_matches_reference_on_broken_complexes():
+    dangling, holed, wedge = _broken_complexes()
+    for k in (dangling, holed, wedge):
+        want = _certificate_reference(k, 2)
+        assert not want["is_closed_z2_homology_n_manifold"]
+        assert manifold_certificate(k, 2) == want
+    assert ("n", "x") in manifold_certificate(dangling, 2)["failures"]
+    hole = octahedron().maximal_simplices()[0]
+    assert set(combinations(hole, 2)) <= set(manifold_certificate(holed, 2)["failures"])
+    assert ("n",) in manifold_certificate(wedge, 2)["failures"]
+
+
+def test_certificate_of_loaded_sd_three_sphere_is_fast(tmp_path):
+    sd, _ = barycentric_subdivide(cross_polytope_s3())
+    path = tmp_path / "sd_s3.json"
+    sd.save(path)
+    k = SimplicialComplex.load(path)
+    assert not k._manifold_dims  # nothing inherited from the catalog
+    start = time.perf_counter()
+    cert = manifold_certificate(k, 3)
+    elapsed = time.perf_counter() - start
+    assert cert == {"is_closed_z2_homology_n_manifold": True, "failures": []}
+    assert elapsed < 3.0, f"certificate took {elapsed:.2f}s"
