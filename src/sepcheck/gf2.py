@@ -140,7 +140,7 @@ class SubspaceBasis:
         return len(self.vectors)
 
     def contains(self, v: int) -> bool:
-        return reduce_against(list(self.vectors), v) == 0
+        return Echelon(self.vectors).reduce(v)[0] == 0
 
     def span_matrix(self) -> BitMatrix:
         """Matrix with the basis vectors as columns (ambient_dim x dim)."""
@@ -154,29 +154,49 @@ class SubspaceBasis:
         return BitMatrix(self.ambient_dim, len(cols), tuple(data))
 
 
-def reduce_against(echelon: list[int], v: int) -> int:
-    """Reduce v against rows already in echelon form (lowest-bit pivots)."""
-    for row in echelon:
-        p = row & -row
-        if v & p:
-            v ^= row
-    return v
+class Echelon:
+    """Rows in echelon form, each keyed by its lowest set bit (its pivot).
 
+    ``reduce`` clears every pivot bit of a vector in ascending pivot order,
+    so results do not depend on insertion order.  With ``track=True`` each
+    row also records, as a packed vector, which inputs were XORed into it;
+    ``Echelon(vectors, track=True)`` numbers the inputs by position.
+    """
 
-def _echelon(rows: list[int]) -> list[int]:
-    """In-place style Gaussian elimination; returns nonzero echelon rows."""
-    ech: list[int] = []
-    for r in rows:
-        r = reduce_against(ech, r)
-        if r:
-            ech.append(r)
-            ech.sort(key=lambda x: x & -x)
-    return ech
+    def __init__(self, vectors=(), track: bool = False):
+        self.rows: dict[int, int] = {}
+        self.combos: dict[int, int] | None = {} if track else None
+        for i, v in enumerate(vectors):
+            self.add(v, 1 << i if track else 0)
+
+    def reduce(self, v: int, combo: int = 0) -> tuple[int, int]:
+        """Residue of v against the rows, and combo XOR the combos used."""
+        rows, combos = self.rows, self.combos
+        rest = v
+        while rest:
+            low = rest & -rest
+            row = rows.get(low)
+            if row is not None:
+                v ^= row
+                if combos is not None:
+                    combo ^= combos[low]
+            rest = v & -(low << 1)  # bits of v above the one just cleared
+        return v, combo
+
+    def add(self, v: int, combo: int = 0) -> tuple[int, int]:
+        """Reduce v and keep a nonzero residue as a new row; returns ``reduce(v)``."""
+        v, combo = self.reduce(v, combo)
+        if v:
+            low = v & -v
+            self.rows[low] = v
+            if self.combos is not None:
+                self.combos[low] = combo
+        return v, combo
 
 
 def rank(m: BitMatrix) -> int:
     """GF(2) row rank via Gaussian elimination with first-nonzero pivots."""
-    return len(_echelon(list(m.data)))
+    return len(Echelon(m.data).rows)
 
 
 def cokernel_dim(m: BitMatrix) -> int:
@@ -187,69 +207,31 @@ def cokernel_dim(m: BitMatrix) -> int:
 def solve(m: BitMatrix, b: int) -> int | None:
     """Solve m x = b; returns None when inconsistent.
 
-    Free coordinates are set to 0, so the result is deterministic.
+    Free coordinates are set to 0, so the result is deterministic: x is
+    supported on the columns independent of the columns before them.
     ``b`` is a packed vector of length m.rows.
     """
     if b >> m.rows:
         raise ValueError("right-hand side longer than row count")
-    # Work on the transpose-free augmented system: rows of [m | b].
-    aug = [m.data[i] | (((b >> i) & 1) << m.cols) for i in range(m.rows)]
-    ech: list[int] = []
-    for r in aug:
-        r = reduce_against(ech, r)
-        if r:
-            ech.append(r)
-            ech.sort(key=lambda x: x & -x)
-    bbit = 1 << m.cols
-    pivots = {}
-    for row in ech:
-        p = (row & -row).bit_length() - 1
-        if p == m.cols:
-            return None  # pivot in the augmented column: inconsistent
-        pivots[p] = row
-    x = 0
-    # Back-substitute from the highest pivot down.
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        val = ((row & bbit) >> m.cols) ^ dot(row & ~(1 << p) & (bbit - 1), x)
-        x |= val << p
-    return x
+    residue, x = Echelon(m.transpose().data, track=True).reduce(b)
+    return None if residue else x
 
 
 def kernel_basis(m: BitMatrix) -> SubspaceBasis:
     """Basis of the null space {x : m x = 0}, deterministic order."""
-    n = m.cols
-    # Column-reduce the transpose augmented with an identity tracker.
-    ech: list[tuple[int, int]] = []  # (reduced column as row over rows-space, combo)
+    ech = Echelon(track=True)
     basis = []
-    for j in range(n):
-        col = m.column(j)
-        combo = 1 << j
-        for erow, ecombo in ech:
-            p = erow & -erow
-            if col & p:
-                col ^= erow
-                combo ^= ecombo
-        if col:
-            ech.append((col, combo))
-            ech.sort(key=lambda t: t[0] & -t[0])
-        else:
+    for j, col in enumerate(m.transpose().data):
+        residue, combo = ech.add(col, 1 << j)
+        if not residue:
             basis.append(combo)
-    return SubspaceBasis(n, tuple(basis))
+    return SubspaceBasis(m.cols, tuple(basis))
 
 
 def column_space_basis(m: BitMatrix) -> SubspaceBasis:
     """Basis of the column space, chosen greedily in column order."""
-    ech: list[int] = []
-    basis = []
-    for j in range(m.cols):
-        col = m.column(j)
-        red = reduce_against(ech, col)
-        if red:
-            ech.append(red)
-            ech.sort(key=lambda x: x & -x)
-            basis.append(col)
-    return SubspaceBasis(m.rows, tuple(basis))
+    ech = Echelon()
+    return SubspaceBasis(m.rows, tuple(c for c in m.transpose().data if ech.add(c)[0]))
 
 
 def inverse(m: BitMatrix) -> BitMatrix | None:
@@ -369,9 +351,9 @@ def _random_full_rank(rng: random.Random, rows: int, cols: int) -> BitMatrix:
 
 def _random_subspace(rng: random.Random, ambient: int, dim: int) -> SubspaceBasis:
     while True:
-        vecs = _echelon([rng.getrandbits(ambient) for _ in range(dim + 2)])
-        if len(vecs) >= dim:
-            return SubspaceBasis(ambient, tuple(vecs[:dim]))
+        rows = Echelon(rng.getrandbits(ambient) for _ in range(dim + 2)).rows
+        if len(rows) >= dim:
+            return SubspaceBasis(ambient, tuple(rows[p] for p in sorted(rows)[:dim]))
 
 
 def _quotient_map(ambient: int, sub: SubspaceBasis) -> BitMatrix:
@@ -391,17 +373,9 @@ def _extend_to_basis(ambient: int, sub: SubspaceBasis):
 
     Returns (T, complement_columns).
     """
-    cols = list(sub.vectors)
-    ech = _echelon(list(sub.vectors))
-    extra = []
-    for j in range(ambient):
-        cand = 1 << j
-        red = reduce_against(ech, cand)
-        if red:
-            ech.append(red)
-            ech.sort(key=lambda x: x & -x)
-            cols.append(cand)
-            extra.append(cand)
+    ech = Echelon(sub.vectors)
+    extra = [1 << j for j in range(ambient) if ech.add(1 << j)[0]]
+    cols = list(sub.vectors) + extra
     data = []
     for i in range(ambient):
         row = 0

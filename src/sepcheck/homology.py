@@ -12,12 +12,11 @@ from itertools import combinations
 
 from .gf2 import (
     BitMatrix,
+    Echelon,
     SubspaceBasis,
     column_space_basis,
     kernel_basis,
     rank,
-    reduce_against,
-    solve,
     vec_from_bits,
 )
 from .complexes import Simplex, SimplicialComplex, Subcomplex
@@ -95,10 +94,9 @@ class HomologyBasis:
 
         Raises if z is not in the cycle-plus-boundary span.
         """
-        vecs = list(self.representatives.vectors) + list(self.boundaries.vectors)
-        m = SubspaceBasis(self.n_chains, tuple(vecs)).span_matrix()
-        x = solve(m, z)
-        if x is None:
+        vecs = self.representatives.vectors + self.boundaries.vectors
+        residue, x = Echelon(vecs, track=True).reduce(z)
+        if residue:
             raise ValueError("vector is not a cycle representative in this group")
         return x & ((1 << self.dim) - 1)
 
@@ -116,54 +114,35 @@ class HomologyBasis:
 CohomologyBasis = HomologyBasis  # same structure, cochain representatives
 
 
+def _quotient_basis(degree: int, n: int, cycles: SubspaceBasis,
+                    boundaries: SubspaceBasis) -> HomologyBasis:
+    """Cycles kept greedily, in order, when independent modulo the boundaries."""
+    ech = Echelon(boundaries.vectors)
+    reps = tuple(z for z in cycles.vectors if ech.add(z)[0])
+    return HomologyBasis(degree, SubspaceBasis(n, reps), boundaries, n)
+
+
+def _empty_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
+    n = c.size(max(degree, 0))
+    return HomologyBasis(degree, SubspaceBasis(n, ()), SubspaceBasis(n, ()), n)
+
+
 def homology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     if degree < 0 or degree > c.dim:
-        return HomologyBasis(degree, SubspaceBasis(c.size(max(degree, 0)), ()),
-                             SubspaceBasis(c.size(max(degree, 0)), ()), c.size(max(degree, 0)))
-    cycles = kernel_basis(c.boundary_map(degree))
-    bdry = column_space_basis(c.boundary_map(degree + 1))
-    ech = list(bdry.vectors)
-    ech = _reech(ech)
-    reps = []
-    for z in cycles.vectors:
-        red = reduce_against(ech, z)
-        if red:
-            ech.append(red)
-            ech.sort(key=lambda x: x & -x)
-            reps.append(z)
-    n = c.size(degree)
-    return HomologyBasis(degree, SubspaceBasis(n, tuple(reps)), bdry, n)
-
-
-def _reech(vectors):
-    ech = []
-    for v in vectors:
-        v = reduce_against(ech, v)
-        if v:
-            ech.append(v)
-            ech.sort(key=lambda x: x & -x)
-    return ech
+        return _empty_basis(c, degree)
+    return _quotient_basis(degree, c.size(degree),
+                           kernel_basis(c.boundary_map(degree)),
+                           column_space_basis(c.boundary_map(degree + 1)))
 
 
 def cohomology_basis(c: ChainComplexZ2, degree: int) -> CohomologyBasis:
     """Cocycle representatives via transposed boundaries."""
     if degree < 0 or degree > c.dim:
-        n = c.size(max(degree, 0))
-        return CohomologyBasis(degree, SubspaceBasis(n, ()), SubspaceBasis(n, ()), n)
+        return _empty_basis(c, degree)
     delta_up = c.boundary_map(degree + 1).transpose()    # C^d -> C^{d+1}
     delta_down = c.boundary_map(degree).transpose()      # C^{d-1} -> C^d
-    cocycles = kernel_basis(delta_up)
-    cobdry = column_space_basis(delta_down)
-    ech = _reech(list(cobdry.vectors))
-    reps = []
-    for z in cocycles.vectors:
-        red = reduce_against(ech, z)
-        if red:
-            ech.append(red)
-            ech.sort(key=lambda x: x & -x)
-            reps.append(z)
-    n = c.size(degree)
-    return CohomologyBasis(degree, SubspaceBasis(n, tuple(reps)), cobdry, n)
+    return _quotient_basis(degree, c.size(degree),
+                           kernel_basis(delta_up), column_space_basis(delta_down))
 
 
 def betti_numbers(c: ChainComplexZ2) -> dict[int, int]:

@@ -118,23 +118,23 @@ class SelfIntersectionData:
 def self_intersection(f: SimplicialMap) -> SelfIntersectionData:
     """Closure of {x : f^{-1}f(x) != x} as a subcomplex of the domain.
 
-    A simplex carries double points when f collapses it, when a distinct
-    simplex has the same nondegenerate image, or when its image sits inside
-    the image of a collapsed simplex.
+    A simplex carries double points when f collapses it or when a distinct
+    simplex has the same nondegenerate image.  An injective simplex s whose
+    image lies in the image of a collapsed simplex c needs no rule of its
+    own: one preimage in c of each vertex of f(s) spans a face c' of c with
+    the image of s, so either c' = s is a face of the chosen c, or s shares
+    its image with c' and is chosen with its group.
     """
     _require_valid(f)
-    collapsed = [s for s in f.domain.simplices if not f.is_injective_on(s)]
-    collapsed_images = {f.image_simplex(s) for s in collapsed}
+    chosen = set()
     by_image: dict[tuple, list] = {}
     for s in f.domain.simplices:
         if f.is_injective_on(s):
             by_image.setdefault(f.image_simplex(s), []).append(s)
-
-    chosen = set(collapsed)
-    for img, group in by_image.items():
+        else:
+            chosen.add(s)
+    for group in by_image.values():
         if len(group) > 1:
-            chosen.update(group)
-        if any(set(img) <= set(c) for c in collapsed_images):
             chosen.update(group)
 
     a = Subcomplex.closure(f.domain, chosen)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2 import BitMatrix, SubspaceBasis, kernel_basis, rank, solve, vec_from_bits
-from .complexes import SimplicialComplex, Subcomplex, is_certified_manifold
+from .complexes import is_certified_manifold
 from .duality import (
     CohomologyClass,
     cap,
@@ -38,7 +38,11 @@ from .maps import (
     self_intersection,
     validate,
 )
-from .separation import HypothesisError, complement_components_oracle
+from .separation import (
+    HypothesisError,
+    _require_codim1_certificates,
+    complement_components_oracle,
+)
 
 
 @dataclass
@@ -54,8 +58,7 @@ class AffineSolutionSet:
         return self.particular is not None
 
     def contains_zero(self) -> bool:
-        return self.solvable and SubspaceBasis(
-            self.space_dim, self.kernel.vectors).contains(self.particular)
+        return self.solvable and self.kernel.contains(self.particular)
 
     def has_nonzero(self) -> bool:
         if not self.solvable:
@@ -79,6 +82,7 @@ class ObstructionReport:
     predicate_thm_final: bool
     beta0_oracle: int
     dim_Hm_image: int
+    A_proper: bool
     Uf_is_zero: bool = field(default=False)
     w1f_is_zero: bool = field(default=False)
 
@@ -95,20 +99,9 @@ class ObstructionReport:
         }
 
 
-def _require_certificates(f: SimplicialMap, codim: int = 1) -> int:
-    if not validate(f):
-        raise ValueError(f"{f.name} is not a simplicial map")
-    m = f.domain.dim
-    if not is_certified_manifold(f.domain, m):
-        raise HypothesisError("domain_closed_manifold")
-    if not is_certified_manifold(f.codomain, m + codim):
-        raise HypothesisError("codomain_closed_manifold")
-    return m
-
-
 def dual_class_Uf(f: SimplicialMap) -> CohomologyClass:
     """Poincare dual in the codomain of the pushed-forward fundamental class."""
-    m = _require_certificates(f)
+    m = _require_codim1_certificates(f)
     n = f.codomain
     fcm = fundamental_class(f.domain, m)
     pushed = chain_map(f, m).matvec(fcm.chain)
@@ -138,7 +131,7 @@ def w1_of_map(f: SimplicialMap) -> CohomologyClass:
 
 def theta(f: SimplicialMap) -> tuple[int, HomologyBasis]:
     """Primary obstruction (f^* U_f + w1(f)) cap [M], as H_{m-1}(M) coordinates."""
-    m = _require_certificates(f)
+    m = _require_codim1_certificates(f)
     uf = dual_class_Uf(f)
     w1f = w1_of_map(f)
     pulled_uf = chain_map(f, 1).transpose().matvec(uf.cocycle)
@@ -151,7 +144,7 @@ def theta(f: SimplicialMap) -> tuple[int, HomologyBasis]:
 
 def theta_pushforward_check(f: SimplicialMap) -> bool:
     """f_* theta(f) vanishes; a failure here is a bug, not a finding."""
-    m = _require_certificates(f)
+    m = _require_codim1_certificates(f)
     th, hm1 = theta(f)
     src = hm1
     tgt = homology_basis(chain_complex(f.codomain), m - 1)
@@ -196,7 +189,7 @@ def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutio
 
 def cor317_check(f: SimplicialMap) -> bool:
     """dim A < m-1 forces theta(f) = 0; vacuous truth is recorded as truth."""
-    m = _require_certificates(f)
+    m = _require_codim1_certificates(f)
     si = self_intersection(f)
     if si.dim_A >= m - 1:
         return True
@@ -327,49 +320,23 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
 
 def final_theorem_check(f: SimplicialMap) -> ObstructionReport:
     """Three-or-more components verdict under A != M, mu != 0, w1(f) = 0."""
-    m = _require_certificates(f)
+    _require_codim1_certificates(f)
     if betti(f.codomain, 1) != 0:
         raise HypothesisError("h1_N_zero")
-
-    uf = dual_class_Uf(f)
-    w1f = w1_of_map(f)
-    uf_zero = cohomology_class_is_zero(uf)
-    w1f_zero = cohomology_class_is_zero(w1f)
-    th, hm1 = theta(f)
-    push_ok = theta_pushforward_check(f)
-    mu = mu_solve(f, th)
-    si = self_intersection(f)
-    a_proper = si.A.simplices != f.domain.simplices
-
-    img = image_subcomplex(f)
-    img_cx = img.to_complex("f(M)")
-    dim_hm_image = homology_basis(chain_complex(img_cx), m).dim
-    oracle = complement_components_oracle(f.codomain, img)
-
-    hypotheses = a_proper and mu.has_nonzero() and w1f_zero
-    if not hypotheses:
-        if not a_proper:
-            raise HypothesisError("A_proper")
-        if not mu.has_nonzero():
-            raise HypothesisError("exists_nonzero_mu")
-        raise HypothesisError("w1f_zero")
-
-    assert oracle >= 3, "three-components conclusion violated"
+    rep = obstruction_summary(f)
+    for name, holds in (("A_proper", rep.A_proper),
+                        ("exists_nonzero_mu", rep.exists_nonzero_mu),
+                        ("w1f_zero", rep.w1f_is_zero)):
+        if not holds:
+            raise HypothesisError(name)
     # intermediate identity from the proof: beta0 = dim H_m(f(M)) + 1
-    assert oracle == dim_hm_image + 1, "component-count identity violated"
-
-    return ObstructionReport(
-        Uf=uf, w1f=w1f, theta_coords=th, theta_is_zero=(th == 0),
-        theta_pushforward_zero=push_ok, mu_solutions=mu,
-        exists_nonzero_mu=mu.has_nonzero(), all_mu_nonzero=mu.all_nonzero(),
-        predicate_thm_final=True, beta0_oracle=oracle,
-        dim_Hm_image=dim_hm_image, Uf_is_zero=uf_zero, w1f_is_zero=w1f_zero,
-    )
+    assert rep.beta0_oracle == rep.dim_Hm_image + 1, "component-count identity violated"
+    return rep
 
 
 def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
     """Full pipeline without the final-theorem hypothesis gate."""
-    m = _require_certificates(f)
+    m = _require_codim1_certificates(f)
     uf = dual_class_Uf(f)
     w1f = w1_of_map(f)
     th, _ = theta(f)
@@ -390,6 +357,6 @@ def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
         theta_pushforward_zero=push_ok, mu_solutions=mu,
         exists_nonzero_mu=mu.has_nonzero(), all_mu_nonzero=mu.all_nonzero(),
         predicate_thm_final=predicate, beta0_oracle=oracle,
-        dim_Hm_image=dim_hm_image,
+        dim_Hm_image=dim_hm_image, A_proper=a_proper,
         Uf_is_zero=cohomology_class_is_zero(uf), w1f_is_zero=w1f_zero,
     )

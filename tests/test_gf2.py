@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from sepcheck.gf2 import (
     BitMatrix,
+    Echelon,
     LadderDiagram,
+    SubspaceBasis,
     cokernel_dim,
     inverse,
     kernel_basis,
@@ -107,6 +109,44 @@ def test_solve_substitution(m, seed):
     x = solve(m, b)
     if x is not None:
         assert m.matvec(x) == b
+
+
+def test_contains_with_basis_not_in_echelon_form():
+    # 0b10 = 0b11 ^ 0b01, although no basis vector alone has pivot bit 1
+    assert SubspaceBasis(2, (0b11, 0b01)).contains(0b10)
+    assert SubspaceBasis(3, (0b011, 0b001)).contains(0b010)
+    assert not SubspaceBasis(3, (0b011, 0b001)).contains(0b100)
+
+
+def _span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return span
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, (1 << n) - 1), max_size=6), st.integers(0, (1 << n) - 1))))
+@settings(max_examples=300)
+def test_contains_matches_span_enumeration(case):
+    vectors, v = case
+    assert SubspaceBasis(8, tuple(vectors)).contains(v) == (v in _span(vectors))
+
+
+@given(st.lists(st.integers(0, 255), max_size=8), st.integers(0, 255))
+@settings(max_examples=200)
+def test_echelon_tracks_the_inputs_it_combines(vectors, v):
+    ech = Echelon(vectors, track=True)
+    residue, combo = ech.reduce(v)
+    assert len(ech.rows) == rank(BitMatrix(len(vectors), 8, tuple(vectors)))
+    for low, row in ech.rows.items():
+        assert row & -row == low
+        assert residue & low == 0
+    used = 0
+    for i, w in enumerate(vectors):
+        if (combo >> i) & 1:
+            used ^= w
+    assert v == residue ^ used
 
 
 def test_inverse_roundtrip():
