@@ -1,8 +1,8 @@
 """Command-line surface: catalog listing, analysis runs, oracle queries,
 duality checks, and the deterministic selftest.
 
-Exit codes: 0 all checks pass, 1 hypothesis refusal, 2 assertion or
-selftest failure, 3 input error.
+Exit codes: 0 all checks pass, 1 hypothesis refusal, 2 assertion,
+selftest failure or internal error, 3 input error.
 """
 
 from __future__ import annotations
@@ -170,6 +170,43 @@ def cmd_duality_check(args) -> int:
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
+def _catalog_checks(entry: CatalogEntry):
+    """Yield (key, expected, actual) for each selftest check of one entry, in order."""
+    f, expected = entry.map, entry.expected
+    yield "valid", True, validate(f)
+    si = self_intersection(f)
+    for key, got in (("is_embedding", si.is_embedding), ("dim_A", si.dim_A)):
+        if key in expected:
+            yield key, expected[key], got
+    if expected.get("A_is_whole_domain"):
+        yield "A_is_whole_domain", True, si.A.simplices == f.domain.simplices
+    try:
+        sep = beta0_formula_thm32(f)
+    except HypothesisError as e:
+        yield "separation_refusal", expected.get("separation_refusal"), e.hypothesis
+    else:
+        for key in ("beta0_formula", "beta0_oracle", "coker_dim"):
+            if key in expected:
+                yield key, expected[key], getattr(sep, key)
+        yield "agreement", True, sep.agreement
+        yield "separation_refusal", expected.get("separation_refusal"), None
+    try:
+        obs = obstruction_summary(f)
+    except HypothesisError as e:
+        if "separation_refusal" not in expected and "final_refusal" not in expected:
+            yield "obstruction_refusal", None, e.hypothesis
+    else:
+        yield "theta_pushforward_zero", True, obs.theta_pushforward_zero
+        for key in ("predicate_thm_final", "dim_Hm_image", "w1f_is_zero", "Uf_is_zero"):
+            if key in expected:
+                yield key, expected[key], getattr(obs, key)
+        if "final_refusal" in expected:
+            yield "predicate_thm_final", False, obs.predicate_thm_final
+    if "beta0_oracle" in expected:
+        yield ("beta0_oracle", expected["beta0_oracle"],
+               complement_components_oracle(f.codomain, image_subcomplex(f)))
+
+
 def run_selftest(seed: int = 20260823,
                  entries: dict[str, CatalogEntry] | None = None,
                  out=None) -> int:
@@ -195,44 +232,10 @@ def run_selftest(seed: int = 20260823,
     all_ok &= emit("ladder_kernel_cokernel_100", bad == 0, f"failures={bad}")
 
     for cid in sorted(cat):
-        entry = cat[cid]
-        f = entry.map
-        expected = entry.expected
-        ok = validate(f)
-        si = self_intersection(f)
-        if "is_embedding" in expected:
-            ok &= si.is_embedding == expected["is_embedding"]
-        if "dim_A" in expected:
-            ok &= si.dim_A == expected["dim_A"]
-        if expected.get("A_is_whole_domain"):
-            ok &= si.A.simplices == f.domain.simplices
-        try:
-            sep = beta0_formula_thm32(f)
-            for key in ("beta0_formula", "beta0_oracle", "coker_dim"):
-                if key in expected:
-                    ok &= getattr(sep, key) == expected[key]
-            ok &= sep.agreement
-            ok &= "separation_refusal" not in expected
-        except HypothesisError as e:
-            if "separation_refusal" in expected:
-                ok &= e.hypothesis == expected["separation_refusal"]
-            else:
-                ok = False
-        try:
-            obs = obstruction_summary(f)
-            ok &= obs.theta_pushforward_zero
-            for key in ("predicate_thm_final", "dim_Hm_image",
-                        "w1f_is_zero", "Uf_is_zero"):
-                if key in expected:
-                    ok &= getattr(obs, key) == expected[key]
-            if "final_refusal" in expected:
-                ok &= not obs.predicate_thm_final
-        except HypothesisError:
-            ok &= "separation_refusal" in expected or "final_refusal" in expected
-        if "beta0_oracle" in expected:
-            oracle = complement_components_oracle(f.codomain, image_subcomplex(f))
-            ok &= oracle == expected["beta0_oracle"]
-        all_ok &= emit(f"catalog_{cid}", ok)
+        failed = next(((key, want, got) for key, want, got in _catalog_checks(cat[cid])
+                       if want != got), None)
+        detail = f"{failed[0]}: expected {failed[1]!r}, got {failed[2]!r}" if failed else ""
+        all_ok &= emit(f"catalog_{cid}", failed is None, detail)
 
     seen = set()
     for cid in sorted(cat):
@@ -298,6 +301,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except AssertionError as e:
         print(f"assertion failure: {e}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except Exception as e:  # a crash must not exit 1, which means a refusal
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ASSERTION
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, dot, solve, vec_from_bits
+from .gf2 import BitMatrix, dot, solve
 from .complexes import (
     SimplicialComplex,
     Subcomplex,
@@ -119,10 +119,7 @@ def _cap_matrix(k: SimplicialComplex, n: int, d: int):
     for rep in hco.representatives.vectors:
         z = cap(CohomologyClass(k, n - d, rep), fc.chain, n)
         cols.append(hho.coordinates(z))
-    data = tuple(
-        vec_from_bits(((cc >> i) & 1) for cc in cols) for i in range(hho.dim)
-    )
-    return BitMatrix(hho.dim, hco.dim, data), hco, hho
+    return BitMatrix.from_columns(hho.dim, cols), hco, hho
 
 
 def poincare_dual(k: SimplicialComplex, n: int, h_coords: int, degree: int) -> CohomologyClass:

@@ -61,6 +61,24 @@ class BitMatrix:
             cols = len(rows[0]) if rows else 0
         return BitMatrix(len(rows), cols, tuple(vec_from_bits(r) for r in rows))
 
+    @staticmethod
+    def from_columns(rows: int, cols) -> "BitMatrix":
+        """Matrix whose column j is the packed vector ``cols[j]`` of length rows.
+
+        Walks the set bits of each column, so the cost is O(rows + set bits)
+        row updates rather than one pass over every (row, column) entry.
+        """
+        data = [0] * rows
+        for j, c in enumerate(cols):
+            if c >> rows:
+                raise ValueError("column has bits beyond declared row count")
+            bit = 1 << j
+            while c:
+                low = c & -c
+                data[low.bit_length() - 1] |= bit
+                c ^= low
+        return BitMatrix(rows, len(cols), tuple(data))
+
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
@@ -87,14 +105,7 @@ class BitMatrix:
         return BitMatrix(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, row in enumerate(self.data):
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                out[j] |= 1 << i
-                r &= r - 1
-        return BitMatrix(self.cols, self.rows, tuple(out))
+        return BitMatrix.from_columns(self.cols, self.data)
 
     def hstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.rows != other.rows:
@@ -144,14 +155,7 @@ class SubspaceBasis:
 
     def span_matrix(self) -> BitMatrix:
         """Matrix with the basis vectors as columns (ambient_dim x dim)."""
-        cols = list(self.vectors)
-        data = []
-        for i in range(self.ambient_dim):
-            row = 0
-            for j, c in enumerate(cols):
-                row |= ((c >> i) & 1) << j
-            data.append(row)
-        return BitMatrix(self.ambient_dim, len(cols), tuple(data))
+        return BitMatrix.from_columns(self.ambient_dim, self.vectors)
 
 
 class Echelon:
@@ -245,13 +249,7 @@ def inverse(m: BitMatrix) -> BitMatrix | None:
         if x is None:
             return None
         cols.append(x)
-    data = []
-    for i in range(n):
-        row = 0
-        for j, c in enumerate(cols):
-            row |= ((c >> i) & 1) << j
-        data.append(row)
-    return BitMatrix(n, n, tuple(data))
+    return BitMatrix.from_columns(n, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +373,7 @@ def _extend_to_basis(ambient: int, sub: SubspaceBasis):
     """
     ech = Echelon(sub.vectors)
     extra = [1 << j for j in range(ambient) if ech.add(1 << j)[0]]
-    cols = list(sub.vectors) + extra
-    data = []
-    for i in range(ambient):
-        row = 0
-        for j, c in enumerate(cols):
-            row |= ((c >> i) & 1) << j
-        data.append(row)
-    return BitMatrix(ambient, ambient, tuple(data)), extra
+    return BitMatrix.from_columns(ambient, sub.vectors + tuple(extra)), extra
 
 
 def random_exact_ladder(rng: random.Random) -> LadderDiagram:
@@ -421,27 +412,19 @@ def random_exact_ladder(rng: random.Random) -> LadderDiagram:
     p_top = _random_full_rank(rng, v, dim_a) if v else BitMatrix.zero(0, dim_a)
     top_a = wbasis.span_matrix().matmul(p_top)
     top_b = _quotient_map(dim_bp, wbasis)
-    dim_c = top_b.rows
 
     # f solves a' f = g a column by column (consistent since g(W) = V).
-    ga = g.matmul(top_a)
     fcols = []
-    for j in range(dim_a):
-        x = solve(bot_a, ga.column(j))
+    for col in g.matmul(top_a).transpose().data:
+        x = solve(bot_a, col)
         assert x is not None
         fcols.append(x)
-    vert_f = BitMatrix(
-        dim_ap, dim_a,
-        tuple(vec_from_bits(((c >> i) & 1) for c in fcols) for i in range(dim_ap)),
-    )
+    vert_f = BitMatrix.from_columns(dim_ap, fcols)
 
-    # h is determined: h = b' g s for any section s of b.
+    # h is determined: h = b' g s for any section s of b (one column per
+    # complement vector, so h has top_b.rows columns).
     _, extra = _extend_to_basis(dim_bp, wbasis)
     bg = bot_b.matmul(g)
-    hcols = [bg.matvec(extra[j]) for j in range(dim_c)]
-    vert_h = BitMatrix(
-        bot_b.rows, dim_c,
-        tuple(vec_from_bits(((c >> i) & 1) for c in hcols) for i in range(bot_b.rows)),
-    )
+    vert_h = BitMatrix.from_columns(bot_b.rows, [bg.matvec(e) for e in extra])
 
     return LadderDiagram(top_a, top_b, bot_lam, bot_a, bot_b, vert_f, g, vert_h)

@@ -17,7 +17,6 @@ from .gf2 import (
     column_space_basis,
     kernel_basis,
     rank,
-    vec_from_bits,
 )
 from .complexes import Simplex, SimplicialComplex, Subcomplex
 
@@ -32,7 +31,6 @@ class ChainComplexZ2:
         self.index = [{s: i for i, s in enumerate(row)} for row in simplices_by_dim]
         self.boundary: list[BitMatrix] = [BitMatrix.zero(0, self.size(0))]
         for d in range(1, self.dim + 1):
-            rows = self.size(d - 1)
             cols = []
             for s in self.simplices[d]:
                 col = 0
@@ -41,10 +39,7 @@ class ChainComplexZ2:
                     if i is not None:  # faces inside the subcomplex are quotiented away
                         col ^= 1 << i
                 cols.append(col)
-            data = tuple(
-                vec_from_bits(((c >> i) & 1) for c in cols) for i in range(rows)
-            )
-            self.boundary.append(BitMatrix(rows, self.size(d), data))
+            self.boundary.append(BitMatrix.from_columns(self.size(d - 1), cols))
         for d in range(1, self.dim):
             assert self.boundary[d].matmul(self.boundary[d + 1]).is_zero(), "dd != 0"
 
@@ -176,13 +171,6 @@ class InducedMap:
         return self.matrix.is_zero()
 
 
-def _columns_to_matrix(cols: list[int], rows: int) -> BitMatrix:
-    return BitMatrix(
-        rows, len(cols),
-        tuple(vec_from_bits(((c >> i) & 1) for c in cols) for i in range(rows)),
-    )
-
-
 def induced_map_from_chain_matrix(
     f_chain: BitMatrix, source: HomologyBasis, target: HomologyBasis,
 ) -> InducedMap:
@@ -191,7 +179,7 @@ def induced_map_from_chain_matrix(
     for z in source.representatives.vectors:
         img = f_chain.matvec(z)
         cols.append(target.coordinates(img))
-    return InducedMap(source, target, _columns_to_matrix(cols, target.dim))
+    return InducedMap(source, target, BitMatrix.from_columns(target.dim, cols))
 
 
 def induced_on_homology(f, degree: int) -> InducedMap:
@@ -218,7 +206,7 @@ def _inclusion_chain_matrix(l: Subcomplex, k: SimplicialComplex, degree: int) ->
     lsimp = sorted(s for s in l.simplices if len(s) == degree + 1)
     kindex = k.simplex_index(degree)
     cols = [1 << kindex[s] for s in lsimp]
-    return _columns_to_matrix(cols, len(kindex))
+    return BitMatrix.from_columns(len(kindex), cols)
 
 
 def _projection_chain_matrix(k: SimplicialComplex, rel: ChainComplexZ2, degree: int) -> BitMatrix:
@@ -228,7 +216,7 @@ def _projection_chain_matrix(k: SimplicialComplex, rel: ChainComplexZ2, degree: 
     for s in ksimp:
         i = rindex.get(s)
         cols.append(1 << i if i is not None else 0)
-    return _columns_to_matrix(cols, rel.size(degree))
+    return BitMatrix.from_columns(rel.size(degree), cols)
 
 
 def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:
@@ -285,7 +273,7 @@ def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:
                         zl |= 1 << (cl.index[d - 1][s] if cl else 0)
                 cols.append(hL[d - 1].coordinates(zl))
             dims.append(hR[d].dim)
-            maps.append(_columns_to_matrix(cols, hL[d - 1].dim))
+            maps.append(BitMatrix.from_columns(hL[d - 1].dim, cols))
         else:
             dims.append(hR[d].dim)
     # verify exactness at every interior position

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, vec_from_bits
+from .gf2 import BitMatrix
 from .complexes import (
     SimplicialComplex,
     Subcomplex,
@@ -96,11 +96,7 @@ def chain_map(f: SimplicialMap, degree: int) -> BitMatrix:
     for s in dom:
         img = f.image_simplex(s)
         cols.append(1 << cod_index[img] if len(img) == degree + 1 else 0)
-    rows = len(cod_index)
-    return BitMatrix(
-        rows, len(cols),
-        tuple(vec_from_bits(((c >> i) & 1) for c in cols) for i in range(rows)),
-    )
+    return BitMatrix.from_columns(len(cod_index), cols)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf2 import BitMatrix, SubspaceBasis, kernel_basis, rank, solve, vec_from_bits
+from .gf2 import BitMatrix, SubspaceBasis, kernel_basis, rank, solve
 from .complexes import is_certified_manifold
 from .duality import (
     CohomologyClass,
@@ -280,10 +280,7 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
                     assert s in si.A.simplices, "connecting chain escapes A"
                     za |= 1 << cA.index[m - 1][s]
             cols.append(ha_m1.coordinates(za))
-        data = tuple(
-            vec_from_bits(((c >> i) & 1) for c in cols) for i in range(ha_m1.dim)
-        )
-        return BitMatrix(ha_m1.dim, hi_m.dim, data)
+        return BitMatrix.from_columns(ha_m1.dim, cols)
 
     alpha_m, ha_m, _, _ = alpha_matrix(m)
     beta_m, fbar_m, hi_m = beta_matrix(m)
@@ -337,6 +334,8 @@ def final_theorem_check(f: SimplicialMap) -> ObstructionReport:
 def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
     """Full pipeline without the final-theorem hypothesis gate."""
     m = _require_codim1_certificates(f)
+    if m < 1:  # theta lives in H_{m-1}(M): a 0-dimensional domain has none
+        raise HypothesisError("domain_dim_positive")
     uf = dual_class_Uf(f)
     w1f = w1_of_map(f)
     th, _ = theta(f)

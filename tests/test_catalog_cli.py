@@ -176,4 +176,35 @@ def test_selftest_negative_control_catches_corruption():
     buf = io.StringIO()
     assert run_selftest(entries=corrupted, out=buf) == EXIT_ASSERTION
     lines = buf.getvalue().splitlines()
-    assert any(line.startswith("FAIL catalog_figure_eight_s1_s2") for line in lines)
+    assert "FAIL catalog_figure_eight_s1_s2 (beta0_formula: expected 99, got 3)" in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+
+
+def test_cli_zero_dimensional_domain_is_refused_not_crashed(tmp_path, capsys):
+    files = {
+        "pts": {"name": "pts", "maximal_simplices": [["p"], ["q"]]},
+        "hexagon": {"name": "hexagon", "maximal_simplices":
+                    [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"], ["a", "f"]]},
+        "f": {"name": "f", "domain": "pts", "codomain": "hexagon",
+              "vertex_map": {"p": "a", "q": "d"}},
+    }
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    code = main(["analyze", "--complex", str(tmp_path / "pts.json"),
+                 "--complex", str(tmp_path / "hexagon.json"), "--map", str(tmp_path / "f.json")])
+    captured = capsys.readouterr()
+    assert code == EXIT_REFUSED
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["separation"] == {"refused": "h1_Y_zero"}
+    assert report["obstruction"] == {"refused": "domain_dim_positive"}
+
+
+def test_cli_internal_error_exits_2_with_one_line(monkeypatch, capsys):
+    def crash(f):
+        raise KeyError("boom")
+    monkeypatch.setattr("sepcheck.cli.analyze_instance", crash)
+    code = main(["analyze", "--entry", "equator_s1_s2"])
+    err = capsys.readouterr().err
+    assert code == EXIT_ASSERTION
+    assert err == "internal error: KeyError: 'boom'\n"

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepcheck.gf2 import (
@@ -147,6 +147,41 @@ def test_echelon_tracks_the_inputs_it_combines(vectors, v):
         if (combo >> i) & 1:
             used ^= w
     assert v == residue ^ used
+
+
+def _transpose_entrywise(rows, cols):
+    """Reference for ``from_columns``: packs row i from bit i of every column."""
+    data = tuple(vec_from_bits(((c >> i) & 1) for c in cols) for i in range(rows))
+    return BitMatrix(rows, len(cols), data)
+
+
+@st.composite
+def column_lists(draw, max_dim=40):
+    rows = draw(st.integers(0, max_dim))
+    column = st.one_of(st.just(0), st.integers(0, (1 << rows) - 1))
+    return rows, draw(st.lists(column, max_size=max_dim))
+
+
+@given(column_lists())
+@settings(max_examples=300)
+@example((0, []))
+@example((5, []))
+@example((0, [0, 0, 0]))
+@example((3, [0, 0b101, 0]))
+def test_from_columns_matches_entrywise_transposition(case):
+    rows, cols = case
+    m = BitMatrix.from_columns(rows, cols)
+    assert m == _transpose_entrywise(rows, cols)
+    assert m.transpose().data == tuple(cols)
+
+
+@given(column_lists(), st.integers(0, 40), st.integers(0, 40))
+@settings(max_examples=200)
+def test_from_columns_rejects_bits_beyond_rows(case, where, past):
+    rows, cols = case
+    at = where % (len(cols) + 1)
+    with pytest.raises(ValueError):
+        BitMatrix.from_columns(rows, cols[:at] + [1 << (rows + past)] + cols[at:])
 
 
 def test_inverse_roundtrip():
