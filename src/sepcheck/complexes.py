@@ -36,6 +36,7 @@ class SimplicialComplex:
         self._by_dim: dict[int, list[Simplex]] = {}
         self._index: dict[int, dict[Simplex, int]] = {}
         self._star: dict[str, list[Simplex]] | None = None
+        self._facets: tuple[dict[Simplex, int], tuple[tuple[int, ...], ...]] | None = None
         # Facts inherited through barycentric subdivision (both are
         # subdivision invariants): certified closed-manifold dimensions
         # and Z2 Betti numbers.
@@ -56,6 +57,22 @@ class SimplicialComplex:
         if d not in self._index:
             self._index[d] = {s: i for i, s in enumerate(self.simplices_of_dim(d))}
         return self._index[d]
+
+    def facet_table(self) -> tuple[dict[Simplex, int], tuple[tuple[int, ...], ...]]:
+        """(simplex -> index, facet indices of each simplex), built on first use.
+
+        Simplices are indexed in order of dimension, so every facet has a
+        smaller index than its simplex.  Entry ``i`` of the second tuple
+        lists the indices of the codimension-1 faces of simplex ``i``; a
+        vertex has none.
+        """
+        if self._facets is None:
+            index = {s: i for i, s in enumerate(sorted(self.simplices, key=len))}
+            get = index.__getitem__
+            facets = tuple(tuple(map(get, combinations(s, len(s) - 1))) if len(s) > 1 else ()
+                           for s in index)
+            self._facets = (index, facets)
+        return self._facets
 
     def _cofaces(self, s: Simplex):
         """Simplices strictly containing the simplex ``s`` of this complex.

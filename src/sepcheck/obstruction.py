@@ -41,6 +41,7 @@ from .maps import (
 from .separation import (
     HypothesisError,
     _require_codim1_certificates,
+    _require_positive_codim1,
     complement_components_oracle,
 )
 
@@ -131,7 +132,7 @@ def w1_of_map(f: SimplicialMap) -> CohomologyClass:
 
 def theta(f: SimplicialMap) -> tuple[int, HomologyBasis]:
     """Primary obstruction (f^* U_f + w1(f)) cap [M], as H_{m-1}(M) coordinates."""
-    m = _require_codim1_certificates(f)
+    m = _require_positive_codim1(f)
     uf = dual_class_Uf(f)
     w1f = w1_of_map(f)
     pulled_uf = chain_map(f, 1).transpose().matvec(uf.cocycle)
@@ -144,7 +145,7 @@ def theta(f: SimplicialMap) -> tuple[int, HomologyBasis]:
 
 def theta_pushforward_check(f: SimplicialMap) -> bool:
     """f_* theta(f) vanishes; a failure here is a bug, not a finding."""
-    m = _require_codim1_certificates(f)
+    m = _require_positive_codim1(f)
     th, hm1 = theta(f)
     src = hm1
     tgt = homology_basis(chain_complex(f.codomain), m - 1)
@@ -189,7 +190,7 @@ def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutio
 
 def cor317_check(f: SimplicialMap) -> bool:
     """dim A < m-1 forces theta(f) = 0; vacuous truth is recorded as truth."""
-    m = _require_codim1_certificates(f)
+    m = _require_positive_codim1(f)
     si = self_intersection(f)
     if si.dim_A >= m - 1:
         return True
@@ -333,9 +334,7 @@ def final_theorem_check(f: SimplicialMap) -> ObstructionReport:
 
 def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
     """Full pipeline without the final-theorem hypothesis gate."""
-    m = _require_codim1_certificates(f)
-    if m < 1:  # theta lives in H_{m-1}(M): a 0-dimensional domain has none
-        raise HypothesisError("domain_dim_positive")
+    m = _require_positive_codim1(f)
     uf = dual_class_Uf(f)
     w1f = w1_of_map(f)
     th, _ = theta(f)

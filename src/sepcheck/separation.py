@@ -19,6 +19,7 @@ from .homology import (
     induced_map_from_chain_matrix,
 )
 from .maps import (
+    SelfIntersectionData,
     SimplicialMap,
     chain_map,
     image_subcomplex,
@@ -65,16 +66,19 @@ def complement_components_oracle(y: SimplicialComplex, f_img: Subcomplex) -> int
     Counted directly on the face poset: the vertices of the complementary
     complex are the simplices of y outside f_img and its edges are the
     comparable pairs, so a union-find over that poset gives the same count
-    without materializing the subdivision.
+    without materializing the subdivision.  Joining each outside simplex to
+    its outside facets suffices: the outside simplices are closed upwards,
+    so for outside s < t every simplex between them is outside, and a chain
+    of facets leads from t down to s.  The facet table is cached on y, so a
+    call costs one pass over it whatever the subcomplex.
     """
     if f_img.parent is not y and f_img.parent != y:
         raise ValueError("image is not a subcomplex of the codomain")
-    from itertools import combinations
-
-    excluded = f_img.simplices
-    nodes = [s for s in y.simplices if s not in excluded]
-    idx = {s: i for i, s in enumerate(nodes)}
-    parent = list(range(len(nodes)))
+    index, facets = y.facet_table()
+    excluded = bytearray(len(facets))
+    for s in f_img.simplices:
+        excluded[index[s]] = 1
+    parent = list(range(len(facets)))
 
     def find(i):
         while parent[i] != i:
@@ -82,16 +86,17 @@ def complement_components_oracle(y: SimplicialComplex, f_img: Subcomplex) -> int
             i = parent[i]
         return i
 
-    for s in nodes:
-        i = idx[s]
-        for d in range(1, len(s)):
-            for f in combinations(s, d):
-                j = idx.get(f)
-                if j is not None:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-    return len({find(i) for i in range(len(nodes))})
+    # Facets come first in the table, so simplex i is still a singleton when
+    # its turn comes and stays the root of everything joined to it.
+    for i, faces in enumerate(facets):
+        if excluded[i]:
+            continue
+        for j in faces:
+            if not excluded[j]:
+                r = find(j)
+                if r != i:
+                    parent[r] = i
+    return sum(1 for i, p in enumerate(parent) if p == i and not excluded[i])
 
 
 def _require_codim1_certificates(f: SimplicialMap) -> int:
@@ -108,25 +113,36 @@ def _require_codim1_certificates(f: SimplicialMap) -> int:
     return n
 
 
+def _require_positive_codim1(f: SimplicialMap) -> int:
+    """Codimension-1 certificates and a domain of dimension m >= 1.
+
+    The obstruction theta lives in H_{m-1}(M), so a 0-dimensional domain
+    has none and its pipeline is refused rather than run.
+    """
+    m = _require_codim1_certificates(f)
+    if m < 1:
+        raise HypothesisError("domain_dim_positive")
+    return m
+
+
 def check_hypotheses_thm32(f: SimplicialMap) -> dict:
-    n = _require_codim1_certificates(f)
-    y = f.codomain
-    si = self_intersection(f)
-    h1 = betti(y, 1) == 0
+    _require_codim1_certificates(f)
+    return _hypotheses_thm32(f, self_intersection(f))
+
+
+def _hypotheses_thm32(f: SimplicialMap, si: SelfIntersectionData) -> dict:
+    """The Theorem 3.2 hypotheses of a certified map with self-intersection si."""
+    h1 = betti(f.codomain, 1) == 0
     a_proper = si.A.simplices != f.domain.simplices
-    yfa = complement_components_oracle(y, si.B) == 1
+    yfa = complement_components_oracle(f.codomain, si.B) == 1
     return {"h1_Y_zero": h1, "A_proper": a_proper, "Y_minus_fA_connected": yfa}
 
 
-def _block_cohomology_map(f: SimplicialMap, degree: int):
-    """(i^*, f|_A^*): H^d(X) + H^d(f(A)) -> H^d(A); returns the stacked matrix.
+def _block_cohomology_map(f: SimplicialMap, si: SelfIntersectionData, degree: int):
+    """(i^*, f|_A^*): H^d(X) + H^d(f(A)) -> H^d(A) as one stacked matrix.
 
-    Empty A gives a 0 x 0-ish matrix with coker dim 0.
+    A must be nonempty.
     """
-    si = self_intersection(f)
-    if si.A.is_empty():
-        from .gf2 import BitMatrix
-        return BitMatrix.zero(0, 0), si
     a_cx = si.A.to_complex("A")
     b_cx = si.B.to_complex("B")
     h_a = cohomology_basis(chain_complex(a_cx), degree)
@@ -140,20 +156,21 @@ def _block_cohomology_map(f: SimplicialMap, degree: int):
     fa_to_b = SimplicialMap(f_a.name, f_a.domain, b_cx, f_a.vertex_map)
     fa_star = induced_map_from_chain_matrix(
         chain_map(fa_to_b, degree).transpose(), h_b, h_a).matrix
-    return i_star.hstack(fa_star), si
+    return i_star.hstack(fa_star)
 
 
 def beta0_formula_thm32(f: SimplicialMap) -> SeparationReport:
     """beta0(Y - f(X)) = 2 + dim coker(i^* + f|_A^*), checked against the oracle."""
     n = _require_codim1_certificates(f)
-    hyp = check_hypotheses_thm32(f)
+    si = self_intersection(f)
+    hyp = _hypotheses_thm32(f, si)
     for name in ("h1_Y_zero", "A_proper", "Y_minus_fA_connected"):
         if not hyp[name]:
             raise HypothesisError(name)
-    block, si = _block_cohomology_map(f, n - 1)
     if si.A.is_empty():
         coker = 0
     else:
+        block = _block_cohomology_map(f, si, n - 1)
         coker = block.rows - rank(block)
     formula = 2 + coker
     oracle = complement_components_oracle(f.codomain, image_subcomplex(f))

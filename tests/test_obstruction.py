@@ -1,9 +1,10 @@
 import pytest
 
 from sepcheck.catalog import build_catalog
+from sepcheck.complexes import SimplicialComplex
 from sepcheck.duality import cohomology_class_is_zero
 from sepcheck.gf2 import SubspaceBasis
-from sepcheck.maps import image_subcomplex
+from sepcheck.maps import SimplicialMap, image_subcomplex
 from sepcheck.obstruction import (
     AffineSolutionSet,
     cor317_check,
@@ -175,3 +176,19 @@ def test_summary_json_keys_are_stable():
     assert list(rep.to_json_dict()) == [
         "Uf_is_zero", "w1f_is_zero", "theta_is_zero", "theta_pushforward_zero",
         "exists_nonzero_mu", "predicate_thm_final", "beta0_oracle", "dim_Hm_image"]
+
+
+def _two_points_into_hexagon():
+    pts = SimplicialComplex.from_maximal_simplices("pts", [["p"], ["q"]])
+    hexagon = SimplicialComplex.from_maximal_simplices(
+        "hexagon", [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"], ["a", "f"]])
+    return SimplicialMap("f", pts, hexagon, {"p": "a", "q": "d"})
+
+
+@pytest.mark.parametrize("check", [theta, theta_pushforward_check, mu_solve,
+                                   cor317_check, obstruction_summary],
+                         ids=lambda fn: fn.__name__)
+def test_zero_dimensional_domain_is_refused(check):
+    with pytest.raises(HypothesisError) as exc:
+        check(_two_points_into_hexagon())
+    assert exc.value.hypothesis == "domain_dim_positive"

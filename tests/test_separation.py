@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepcheck.catalog import build_catalog, octahedron
-from sepcheck.complexes import Subcomplex
-from sepcheck.maps import image_subcomplex, subdivide_map
+from sepcheck.complexes import Subcomplex, complementary_complex, connected_components
+from sepcheck.maps import image_subcomplex, self_intersection, subdivide_map
 from sepcheck.separation import (
     HypothesisError,
     beta0_formula_thm32,
@@ -12,6 +16,7 @@ from sepcheck.separation import (
     jordan_brouwer_check,
     prop34_check,
 )
+from test_complexes import small_complexes
 
 CATALOG = build_catalog()
 
@@ -153,3 +158,61 @@ def test_formula_agreement_survives_subdivision():
         rep = beta0_formula_thm32(g)
         assert rep.agreement
         assert rep.beta0_formula == CATALOG[cid].expected["beta0_formula"]
+
+
+def _oracle_all_faces_reference(y, sub):
+    """Union-find joining each outside simplex to every outside proper face."""
+    nodes = [s for s in y.simplices if s not in sub.simplices]
+    idx = {s: i for i, s in enumerate(nodes)}
+    parent = list(range(len(nodes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for s in nodes:
+        for d in range(1, len(s)):
+            for face in combinations(s, d):
+                j = idx.get(face)
+                if j is not None:
+                    parent[find(idx[s])] = find(j)
+    return len({find(i) for i in range(len(nodes))})
+
+
+def _assert_oracle_matches_references(y, sub):
+    got = complement_components_oracle(y, sub)
+    assert got == _oracle_all_faces_reference(y, sub)
+    assert got == connected_components(complementary_complex(y, sub))
+
+
+@st.composite
+def complexes_with_subcomplex(draw):
+    k = draw(small_complexes())
+    chosen = draw(st.sets(st.sampled_from(sorted(k.simplices))))
+    return k, Subcomplex.closure(k, chosen)
+
+
+@given(complexes_with_subcomplex())
+@settings(max_examples=200, deadline=None)
+def test_oracle_matches_references_on_random_subcomplexes(case):
+    _assert_oracle_matches_references(*case)
+
+
+def test_oracle_matches_references_on_catalog_at_sd1():
+    for cid, entry in sorted(CATALOG.items()):
+        g, _, _ = subdivide_map(entry.map)
+        for sub in (image_subcomplex(g), self_intersection(g).B):
+            _assert_oracle_matches_references(g.codomain, sub)
+
+
+def test_oracle_cached_table_is_independent_of_the_subcomplex():
+    k = octahedron()
+    equator = Subcomplex.closure(k, [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    disk = Subcomplex.closure(k, [("a", "b", "n")])
+    split = Subcomplex.closure(k, [*equator.simplices, ("a", "n"), ("c", "n")])
+    counts = [complement_components_oracle(k, sub)
+              for sub in (equator, Subcomplex(k, []), disk, split, equator,
+                          Subcomplex(k, k.simplices))]
+    assert counts == [2, 1, 1, 3, 2, 0]
