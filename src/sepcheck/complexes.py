@@ -37,6 +37,7 @@ class SimplicialComplex:
         self._index: dict[int, dict[Simplex, int]] = {}
         self._star: dict[str, list[Simplex]] | None = None
         self._facets: tuple[dict[Simplex, int], tuple[tuple[int, ...], ...]] | None = None
+        self._chain = None  # homology.ChainComplexZ2, built by chain_complex on first use
         # Facts inherited through barycentric subdivision (both are
         # subdivision invariants): certified closed-manifold dimensions
         # and Z2 Betti numbers.

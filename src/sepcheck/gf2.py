@@ -187,6 +187,29 @@ class Echelon:
             rest = v & -(low << 1)  # bits of v above the one just cleared
         return v, combo
 
+    def add_lowest(self, v: int, combo: int = 0) -> tuple[int, int]:
+        """``add``, reducing v only while its lowest bit is a pivot.
+
+        A nonzero v is kept once its lowest bit is new, with the bits above
+        it left as they are.  That is all the rows need (distinct lowest
+        bits), and on long vectors it takes far fewer XORs than clearing
+        every pivot bit.  Returns the kept row (0 if v reduced to zero) and
+        its combo.
+        """
+        rows, combos = self.rows, self.combos
+        while v:
+            low = v & -v
+            row = rows.get(low)
+            if row is None:
+                rows[low] = v
+                if combos is not None:
+                    combos[low] = combo
+                break
+            v ^= row
+            if combos is not None:
+                combo ^= combos[low]
+        return v, combo
+
     def add(self, v: int, combo: int = 0) -> tuple[int, int]:
         """Reduce v and keep a nonzero residue as a new row; returns ``reduce(v)``."""
         v, combo = self.reduce(v, combo)

@@ -1,8 +1,15 @@
 """Z2 chain complexes, absolute and relative (co)homology, induced maps.
 
+Each chain complex is reduced once, on first use, and the result is cached
+on it: one clearing reduction of the boundaries for homology and one of the
+coboundaries for cohomology (Chen & Kerber's "twist"; de Silva, Morozov &
+Vejdemo-Johansson for the dual).  Every basis keeps the echelon of its
+representatives and boundaries, so a coordinate is one reduction.  The
+chain complex of a ``SimplicialComplex`` is itself cached on the complex.
+
 All bases are canonical: simplices are indexed in lexicographic order and
-Gaussian elimination is deterministic, so representatives and induced-map
-matrices are reproducible across runs.
+the reduction is deterministic, so representatives and induced-map matrices
+are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -10,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gf2 import (
-    BitMatrix,
-    Echelon,
-    SubspaceBasis,
-    column_space_basis,
-    kernel_basis,
-    rank,
-)
+from .gf2 import BitMatrix, Echelon, SubspaceBasis, rank
 from .complexes import Simplex, SimplicialComplex, Subcomplex
 
 
@@ -42,6 +42,9 @@ class ChainComplexZ2:
             self.boundary.append(BitMatrix.from_columns(self.size(d - 1), cols))
         for d in range(1, self.dim):
             assert self.boundary[d].matmul(self.boundary[d + 1]).is_zero(), "dd != 0"
+        # (co)homology bases of every degree, filled by the first basis call
+        self._homology: list[HomologyBasis] | None = None
+        self._cohomology: list[HomologyBasis] | None = None
 
     def size(self, d: int) -> int:
         return len(self.simplices[d]) if 0 <= d <= self.dim else 0
@@ -56,9 +59,12 @@ class ChainComplexZ2:
 
 
 def chain_complex(k: SimplicialComplex) -> ChainComplexZ2:
-    dim = max(k.dim, 0) if k.simplices else -1
-    simp = [k.simplices_of_dim(d) for d in range(dim + 1)]
-    return ChainComplexZ2(simp, label=k.name)
+    """The chain complex of k, built on first use and cached on k."""
+    if k._chain is None:
+        dim = max(k.dim, 0) if k.simplices else -1
+        simp = [k.simplices_of_dim(d) for d in range(dim + 1)]
+        k._chain = ChainComplexZ2(simp, label=k.name)
+    return k._chain
 
 
 def relative_chain_complex(k: SimplicialComplex, l: Subcomplex) -> ChainComplexZ2:
@@ -73,12 +79,27 @@ def relative_chain_complex(k: SimplicialComplex, l: Subcomplex) -> ChainComplexZ
 
 @dataclass
 class HomologyBasis:
-    """Cycle representatives spanning H_degree, with coordinate solving."""
+    """Cycle representatives spanning H_degree, with coordinate solving.
+
+    ``echelon`` holds the representatives and the boundaries, each row
+    keyed by its lowest bit; a representative's row records its own
+    coordinate and a boundary's records 0.  Left out, it is built from the
+    two bases.
+    """
 
     degree: int
     representatives: SubspaceBasis
     boundaries: SubspaceBasis
     n_chains: int
+    echelon: Echelon | None = None
+
+    def __post_init__(self):
+        if self.echelon is None:
+            self.echelon = Echelon(track=True)
+            for b in self.boundaries.vectors:
+                self.echelon.add(b)
+            for i, z in enumerate(self.representatives.vectors):
+                self.echelon.add(z, 1 << i)
 
     @property
     def dim(self) -> int:
@@ -89,11 +110,10 @@ class HomologyBasis:
 
         Raises if z is not in the cycle-plus-boundary span.
         """
-        vecs = self.representatives.vectors + self.boundaries.vectors
-        residue, x = Echelon(vecs, track=True).reduce(z)
+        residue, x = self.echelon.reduce(z)
         if residue:
             raise ValueError("vector is not a cycle representative in this group")
-        return x & ((1 << self.dim) - 1)
+        return x
 
     def is_zero_class(self, z: int) -> bool:
         return self.coordinates(z) == 0
@@ -109,12 +129,46 @@ class HomologyBasis:
 CohomologyBasis = HomologyBasis  # same structure, cochain representatives
 
 
-def _quotient_basis(degree: int, n: int, cycles: SubspaceBasis,
-                    boundaries: SubspaceBasis) -> HomologyBasis:
-    """Cycles kept greedily, in order, when independent modulo the boundaries."""
-    ech = Echelon(boundaries.vectors)
-    reps = tuple(z for z in cycles.vectors if ech.add(z)[0])
-    return HomologyBasis(degree, SubspaceBasis(n, reps), boundaries, n)
+def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBasis]:
+    """(Co)homology bases of every degree from one reduction with clearing.
+
+    Homology reduces the columns of d_D, ..., d_1 from the top down and
+    cohomology the columns of the coboundaries delta^0, ..., delta^D (row i
+    of d_{d+1} is column i of delta^d) from the bottom up.  Within a degree
+    the columns are visited in decreasing index order, each reduced only
+    while its lowest bit is a pivot (``Echelon.add_lowest``), and column j
+    is skipped when bit j is the lowest bit of a reduced column of the step
+    before: that reduced column is a (co)cycle whose bit j is its lowest,
+    so column j is a sum of columns with larger index, already reduced, and
+    would reduce to zero (Chen & Kerber's clearing).  The tracked
+    combinations of the other zero columns are the representatives; each
+    has its own column as lowest bit, distinct from the lowest bits of the
+    reduced columns of the step before, which span the (co)boundaries.
+    """
+    bases: list[HomologyBasis] = [None] * (c.dim + 1)
+    boundaries = Echelon()  # reduced columns of the step before
+    for d in (range(c.dim + 1) if cohomology else range(c.dim, -1, -1)):
+        n = c.size(d)
+        cols = c.boundary_map(d + 1).data if cohomology else c.boundary_map(d).transpose().data
+        cleared = {low.bit_length() - 1 for low in boundaries.rows}
+        ech = Echelon(track=True)
+        reps = []
+        for j in range(n - 1, -1, -1):
+            if j not in cleared:
+                row, combo = ech.add_lowest(cols[j], 1 << j)
+                if not row:
+                    reps.append(combo)
+        reps.reverse()
+        basis = Echelon(track=True)
+        basis.rows.update(boundaries.rows)
+        basis.combos.update(dict.fromkeys(boundaries.rows, 0))
+        for i, z in enumerate(reps):
+            basis.rows[z & -z] = z
+            basis.combos[z & -z] = 1 << i
+        bases[d] = HomologyBasis(d, SubspaceBasis(n, tuple(reps)),
+                                 SubspaceBasis(n, tuple(boundaries.rows.values())), n, basis)
+        boundaries = ech
+    return bases
 
 
 def _empty_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
@@ -125,19 +179,18 @@ def _empty_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
 def homology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     if degree < 0 or degree > c.dim:
         return _empty_basis(c, degree)
-    return _quotient_basis(degree, c.size(degree),
-                           kernel_basis(c.boundary_map(degree)),
-                           column_space_basis(c.boundary_map(degree + 1)))
+    if c._homology is None:
+        c._homology = _clearing_reduction(c, cohomology=False)
+    return c._homology[degree]
 
 
 def cohomology_basis(c: ChainComplexZ2, degree: int) -> CohomologyBasis:
-    """Cocycle representatives via transposed boundaries."""
+    """Cocycle representatives, from the reduction of the coboundaries."""
     if degree < 0 or degree > c.dim:
         return _empty_basis(c, degree)
-    delta_up = c.boundary_map(degree + 1).transpose()    # C^d -> C^{d+1}
-    delta_down = c.boundary_map(degree).transpose()      # C^{d-1} -> C^d
-    return _quotient_basis(degree, c.size(degree),
-                           kernel_basis(delta_up), column_space_basis(delta_down))
+    if c._cohomology is None:
+        c._cohomology = _clearing_reduction(c, cohomology=True)
+    return c._cohomology[degree]
 
 
 def betti_numbers(c: ChainComplexZ2) -> dict[int, int]:

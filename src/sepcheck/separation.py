@@ -127,15 +127,21 @@ def _require_positive_codim1(f: SimplicialMap) -> int:
 
 def check_hypotheses_thm32(f: SimplicialMap) -> dict:
     _require_codim1_certificates(f)
-    return _hypotheses_thm32(f, self_intersection(f))
+    checks = _hypotheses_thm32(f, self_intersection(f))
+    return {name: check() for name, check in checks.items()}
 
 
 def _hypotheses_thm32(f: SimplicialMap, si: SelfIntersectionData) -> dict:
-    """The Theorem 3.2 hypotheses of a certified map with self-intersection si."""
-    h1 = betti(f.codomain, 1) == 0
-    a_proper = si.A.simplices != f.domain.simplices
-    yfa = complement_components_oracle(f.codomain, si.B) == 1
-    return {"h1_Y_zero": h1, "A_proper": a_proper, "Y_minus_fA_connected": yfa}
+    """The Theorem 3.2 hypotheses of a certified map with self-intersection si.
+
+    Name -> zero-argument check, in refusal order, so a caller that stops
+    at the first failure never runs the oracle on B for a refused map.
+    """
+    return {
+        "h1_Y_zero": lambda: betti(f.codomain, 1) == 0,
+        "A_proper": lambda: si.A.simplices != f.domain.simplices,
+        "Y_minus_fA_connected": lambda: complement_components_oracle(f.codomain, si.B) == 1,
+    }
 
 
 def _block_cohomology_map(f: SimplicialMap, si: SelfIntersectionData, degree: int):
@@ -163,9 +169,8 @@ def beta0_formula_thm32(f: SimplicialMap) -> SeparationReport:
     """beta0(Y - f(X)) = 2 + dim coker(i^* + f|_A^*), checked against the oracle."""
     n = _require_codim1_certificates(f)
     si = self_intersection(f)
-    hyp = _hypotheses_thm32(f, si)
-    for name in ("h1_Y_zero", "A_proper", "Y_minus_fA_connected"):
-        if not hyp[name]:
+    for name, check in _hypotheses_thm32(f, si).items():
+        if not check():
             raise HypothesisError(name)
     if si.A.is_empty():
         coker = 0

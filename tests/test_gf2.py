@@ -149,6 +149,23 @@ def test_echelon_tracks_the_inputs_it_combines(vectors, v):
     assert v == residue ^ used
 
 
+@given(st.lists(st.integers(0, 255), max_size=8), st.integers(0, 255))
+@settings(max_examples=200)
+def test_add_lowest_keeps_an_echelon_of_the_same_span(vectors, v):
+    ech = Echelon(track=True)
+    for i, w in enumerate(vectors):
+        row, combo = ech.add_lowest(w, 1 << i)
+        used = 0
+        for k, u in enumerate(vectors):
+            if (combo >> k) & 1:
+                used ^= u
+        assert row == used  # the kept row (or 0) is the tracked combination
+    assert len(ech.rows) == rank(BitMatrix(len(vectors), 8, tuple(vectors)))
+    assert all(row & -row == low for low, row in ech.rows.items())
+    full = Echelon(vectors)
+    assert (ech.reduce(v)[0] == 0) == (full.reduce(v)[0] == 0)
+
+
 def _transpose_entrywise(rows, cols):
     """Reference for ``from_columns``: packs row i from bit i of every column."""
     data = tuple(vec_from_bits(((c >> i) & 1) for c in cols) for i in range(rows))

@@ -3,9 +3,11 @@
 ``tests/golden/<entry>.sd<k>.json`` is the exact text that
 ``sepcheck analyze --entry <entry> --subdivide <k>`` prints, and
 ``tests/golden/selftest.txt`` the output of ``sepcheck selftest``.
-A change that moves any of these bytes changes behaviour.
+A change that moves any of these bytes changes behaviour.  The ``Sd^2``
+reports also bound the cost: the whole catalog at ``Sd^2`` runs in seconds.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -19,14 +21,27 @@ ENTRIES = sorted(build_catalog())
 
 def test_every_catalog_entry_has_goldens():
     recorded = {p.name for p in GOLDEN.glob("*.json")}
-    assert recorded == {f"{e}.sd{k}.json" for e in ENTRIES for k in (0, 1)}
+    assert recorded == {f"{e}.sd{k}.json" for e in ENTRIES for k in (0, 1, 2)}
 
 
-@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_analyze_report_matches_golden(capsys, entry, k):
     main(["analyze", "--entry", entry, "--subdivide", str(k)])
     assert capsys.readouterr().out == (GOLDEN / f"{entry}.sd{k}.json").read_text()
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_sd2_report_equals_sd1_but_names_and_a_size(entry):
+    """Subdivision moves only the names and the simplex count of A."""
+    def invariant(k):
+        report = json.loads((GOLDEN / f"{entry}.sd{k}.json").read_text())
+        for key in ("map", "domain", "codomain"):
+            assert report.pop(key).startswith("Sd(" * k)
+        report["self_intersection"].pop("A_simplices")
+        return report
+
+    assert invariant(2) == invariant(1)
 
 
 def test_selftest_matches_golden(capsys):

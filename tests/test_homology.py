@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from sepcheck.catalog import (
     build_catalog,
@@ -15,7 +16,8 @@ from sepcheck.complexes import (
     barycentric_subdivide,
     connected_components,
 )
-from sepcheck.gf2 import BitMatrix
+from sepcheck.duality import poincare_duality_check
+from sepcheck.gf2 import BitMatrix, Echelon, column_space_basis, kernel_basis
 from sepcheck.homology import (
     betti_numbers,
     chain_complex,
@@ -27,6 +29,7 @@ from sepcheck.homology import (
     relative_chain_complex,
 )
 from sepcheck.maps import SimplicialMap
+from test_complexes import small_complexes
 
 
 def all_complexes():
@@ -194,3 +197,95 @@ def test_coordinates_rejects_non_cycles():
     h1 = homology_basis(c, 1)
     with pytest.raises(ValueError):
         h1.coordinates(1)  # a single edge is not a cycle
+
+
+# ---------------------------------------------------------------------------
+# The clearing reduction against the plain quotient Z / B
+# ---------------------------------------------------------------------------
+
+def _reference_dims(c, degree, cohomology):
+    """dim of (co)cycles modulo (co)boundaries: a full kernel basis and a full
+    column-space basis, cycles kept greedily when independent of the
+    boundaries."""
+    up, down = c.boundary_map(degree + 1), c.boundary_map(degree)
+    cycles, bounds = ((kernel_basis(up.transpose()), column_space_basis(down.transpose()))
+                      if cohomology else (kernel_basis(down), column_space_basis(up)))
+    ech = Echelon(bounds.vectors)
+    return sum(1 for z in cycles.vectors if ech.add(z)[0])
+
+
+def _assert_basis_is_sound(c, degree, cohomology):
+    basis = (cohomology_basis if cohomology else homology_basis)(c, degree)
+    # a (co)cycle is killed by the outgoing (co)boundary
+    out = c.boundary_map(degree + 1).transpose() if cohomology else c.boundary_map(degree)
+    reps = basis.representatives.vectors
+    for z in reps:
+        assert out.matvec(z) == 0
+    # independent modulo the (co)boundaries
+    ech = Echelon(basis.boundaries.vectors)
+    assert all(ech.add(z)[0] for z in reps)
+    for i, z in enumerate(reps):
+        assert basis.coordinates(z) == 1 << i
+    incoming = c.boundary_map(degree).transpose() if cohomology else c.boundary_map(degree + 1)
+    for col in incoming.transpose().data:
+        assert basis.coordinates(col) == 0
+    for j in range(c.size(degree)):
+        if out.matvec(1 << j):
+            with pytest.raises(ValueError):
+                basis.coordinates(1 << j)
+    return basis.dim
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_clearing_bases_match_quotient_reference(k):
+    c = chain_complex(k)
+    betti = betti_numbers(c)
+    for d in range(c.dim + 1):
+        for cohomology in (False, True):
+            dim = _assert_basis_is_sound(c, d, cohomology)
+            assert dim == _reference_dims(c, d, cohomology) == betti[d]
+
+
+def test_clearing_bases_on_relative_complexes():
+    k = octahedron()
+    equator = Subcomplex.closure(k, [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    c = relative_chain_complex(k, equator)
+    for d in range(c.dim + 1):
+        for cohomology in (False, True):
+            assert _assert_basis_is_sound(c, d, cohomology) == _reference_dims(c, d, cohomology)
+
+
+def test_chain_complex_is_cached_on_its_complex():
+    k = csaszar_torus()
+    c = chain_complex(k)
+    assert chain_complex(k) is c
+    assert homology_basis(c, 1) is homology_basis(c, 1)
+    assert cohomology_basis(c, 1) is cohomology_basis(c, 1)
+
+
+# ---------------------------------------------------------------------------
+# Catalog complexes under subdivision
+# ---------------------------------------------------------------------------
+
+def _catalog_complexes():
+    return {k.name: k for e in build_catalog().values() for k in e.complexes.values()
+            if not k.name.startswith("Sd(")}
+
+
+def test_inherited_betti_matches_fresh_reduction_at_sd1_and_sd2():
+    for k in _catalog_complexes().values():
+        sd = k
+        for _ in range(2):
+            sd, _ = barycentric_subdivide(sd)
+            assert sd._betti, sd.name
+            fresh = {d: homology_basis(chain_complex(sd), d).dim for d in range(sd.dim + 1)}
+            assert sd._betti == fresh, sd.name
+
+
+def test_poincare_duality_on_certified_catalog_complexes_at_sd1():
+    for k in _catalog_complexes().values():
+        assert k._manifold_dims, k.name
+        sd, _ = barycentric_subdivide(k)
+        for n in sd._manifold_dims:
+            assert poincare_duality_check(sd, n), sd.name

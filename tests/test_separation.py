@@ -100,6 +100,40 @@ def test_refusal_equal_dimensions_names_certificate():
     assert exc.value.hypothesis == "codomain_closed_manifold"
 
 
+def _count_oracle_calls_on_b(monkeypatch, cid):
+    """beta0_formula_thm32 on a catalog map, counting oracle calls on its B."""
+    from sepcheck import separation
+    f = CATALOG[cid].map
+    b = self_intersection(f).B
+    calls = []
+    real = separation.complement_components_oracle
+
+    def counting(y, sub):
+        calls.append(sub == b)
+        return real(y, sub)
+
+    monkeypatch.setattr(separation, "complement_components_oracle", counting)
+    try:
+        beta0_formula_thm32(f)
+    except HypothesisError:
+        pass
+    return sum(calls)
+
+
+def test_refused_h1_skips_oracle_on_b(monkeypatch):
+    assert _count_oracle_calls_on_b(monkeypatch, "essential_circle_t2") == 0
+
+
+def test_accepted_map_runs_oracle_on_b_once(monkeypatch):
+    assert _count_oracle_calls_on_b(monkeypatch, "figure_eight_s1_s2") == 1
+
+
+def test_hypotheses_report_every_key_when_h1_fails():
+    hyp = check_hypotheses_thm32(CATALOG["essential_circle_t2"].map)
+    assert list(hyp) == ["h1_Y_zero", "A_proper", "Y_minus_fA_connected"]
+    assert all(isinstance(v, bool) for v in hyp.values())
+
+
 def test_torus_oracle_is_one():
     f = CATALOG["essential_circle_t2"].map
     assert complement_components_oracle(f.codomain, image_subcomplex(f)) == 1
