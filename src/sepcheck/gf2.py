@@ -161,8 +161,9 @@ class SubspaceBasis:
 class Echelon:
     """Rows in echelon form, each keyed by its lowest set bit (its pivot).
 
-    ``reduce`` clears every pivot bit of a vector in ascending pivot order,
-    so results do not depend on insertion order.  With ``track=True`` each
+    The rows need only distinct lowest bits; ``reduce`` clears every pivot
+    bit of a vector in ascending pivot order, so whether it leaves a residue
+    does not depend on insertion order.  With ``track=True`` each
     row also records, as a packed vector, which inputs were XORed into it;
     ``Echelon(vectors, track=True)`` numbers the inputs by position.
     """
@@ -187,14 +188,13 @@ class Echelon:
             rest = v & -(low << 1)  # bits of v above the one just cleared
         return v, combo
 
-    def add_lowest(self, v: int, combo: int = 0) -> tuple[int, int]:
-        """``add``, reducing v only while its lowest bit is a pivot.
+    def add(self, v: int, combo: int = 0) -> tuple[int, int]:
+        """Reduce v only while its lowest bit is a pivot, and keep the rest.
 
         A nonzero v is kept once its lowest bit is new, with the bits above
-        it left as they are.  That is all the rows need (distinct lowest
-        bits), and on long vectors it takes far fewer XORs than clearing
-        every pivot bit.  Returns the kept row (0 if v reduced to zero) and
-        its combo.
+        it left as they are: the rows need only distinct lowest bits, and on
+        long vectors that takes far fewer XORs than clearing every pivot
+        bit.  Returns the kept row (0 if v reduced to zero) and its combo.
         """
         rows, combos = self.rows, self.combos
         while v:
@@ -208,16 +208,6 @@ class Echelon:
             v ^= row
             if combos is not None:
                 combo ^= combos[low]
-        return v, combo
-
-    def add(self, v: int, combo: int = 0) -> tuple[int, int]:
-        """Reduce v and keep a nonzero residue as a new row; returns ``reduce(v)``."""
-        v, combo = self.reduce(v, combo)
-        if v:
-            low = v & -v
-            self.rows[low] = v
-            if self.combos is not None:
-                self.combos[low] = combo
         return v, combo
 
 
