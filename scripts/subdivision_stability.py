@@ -4,6 +4,8 @@
 For each analyzable catalog instance, counts complement components of the
 image at subdivision levels 0..K and reports whether the count is stable
 (it must be: the complement's homotopy type is a subdivision invariant).
+Each line gives the oracle time at that level and, from level 1 on, the
+time of the ``subdivide_map`` call that produced it.
 """
 
 import argparse
@@ -29,14 +31,18 @@ def main() -> int:
             continue
         f = entry.map
         counts = []
+        subdivided = ""
         for level in range(args.levels + 1):
+            if level:
+                t0 = time.perf_counter()
+                f, _, _ = subdivide_map(f)
+                subdivided = f", subdivide_map {time.perf_counter() - t0:.3f}s"
             t0 = time.perf_counter()
             counts.append(
                 complement_components_oracle(f.codomain, image_subcomplex(f)))
             dt = time.perf_counter() - t0
-            print(f"{cid:24s} level={level} beta0={counts[-1]} ({dt:.3f}s)")
-            if level < args.levels:
-                f, _, _ = subdivide_map(f)
+            print(f"{cid:24s} level={level} beta0={counts[-1]} "
+                  f"(oracle {dt:.3f}s{subdivided})")
         if len(set(counts)) != 1:
             print(f"{cid}: UNSTABLE {counts}")
             stable = False

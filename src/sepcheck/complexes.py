@@ -249,14 +249,18 @@ def barycentric_subdivide(k: SimplicialComplex):
     """First barycentric subdivision.
 
     Returns (Sd(k), dictionary new-vertex-label -> original simplex).
+    Each barycenter label is built once and shared by every simplex of
+    Sd(k) that contains it, so the set build, sorts and lookups on Sd(k)
+    reuse one cached string hash and compare equal labels by identity.
+    Raises ValueError when two simplices of k get the same label.
     """
-    vertex_of = {}
-    sd_simplices = []
-    for chain in _chains(k):
-        labels = tuple(sorted(barycenter_label(s) for s in chain))
-        sd_simplices.append(labels)
-        if len(chain) == 1:
-            vertex_of[barycenter_label(chain[0])] = chain[0]
+    label = {s: barycenter_label(s) for s in k.simplices}
+    vertex_of = {b: s for s, b in label.items()}
+    if len(vertex_of) != len(label):
+        clash = next(b for s, b in label.items() if vertex_of[b] != s)
+        raise ValueError(f"two simplices of {k.name} share the barycenter label {clash!r}")
+    get = label.__getitem__
+    sd_simplices = [tuple(sorted(map(get, chain))) for chain in _chains(k)]
     sd = SimplicialComplex(f"Sd({k.name})", sd_simplices, _closed=True)
     sd._manifold_dims = set(k._manifold_dims)
     sd._betti = dict(k._betti)

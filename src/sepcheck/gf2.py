@@ -21,10 +21,6 @@ def vec_from_bits(bits) -> int:
     return v
 
 
-def vec_to_bits(v: int, length: int) -> list[int]:
-    return [(v >> j) & 1 for j in range(length)]
-
-
 def dot(u: int, v: int) -> int:
     """GF(2) inner product of two packed vectors."""
     return (u & v).bit_count() & 1
@@ -214,11 +210,6 @@ class Echelon:
 def rank(m: BitMatrix) -> int:
     """GF(2) row rank via Gaussian elimination with first-nonzero pivots."""
     return len(Echelon(m.data).rows)
-
-
-def cokernel_dim(m: BitMatrix) -> int:
-    """dim of GF(2)^rows / column space = rows - rank."""
-    return m.rows - rank(m)
 
 
 def solve(m: BitMatrix, b: int) -> int | None:

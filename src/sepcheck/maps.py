@@ -9,7 +9,6 @@ from .gf2 import BitMatrix
 from .complexes import (
     SimplicialComplex,
     Subcomplex,
-    barycenter_label,
     barycentric_subdivide,
 )
 
@@ -162,14 +161,14 @@ def map_into(domain_complex: SimplicialComplex, codomain: SimplicialComplex,
 def subdivide_map(f: SimplicialMap):
     """Induced simplicial map Sd(domain) -> Sd(codomain) on barycenters.
 
-    Returns (Sd(f), Sd(domain), Sd(codomain)).
+    Returns (Sd(f), Sd(domain), Sd(codomain)).  The vertex map reads both
+    label tables of the subdivisions, so its keys and values are the label
+    objects of Sd(domain) and Sd(codomain) themselves.
     """
     _require_valid(f)
-    sd_dom, _ = barycentric_subdivide(f.domain)
-    sd_cod, _ = barycentric_subdivide(f.codomain)
-    vm = {
-        barycenter_label(s): barycenter_label(f.image_simplex(s))
-        for s in f.domain.simplices
-    }
+    sd_dom, dom_vertex_of = barycentric_subdivide(f.domain)
+    sd_cod, cod_vertex_of = barycentric_subdivide(f.codomain)
+    cod_label = {s: b for b, s in cod_vertex_of.items()}
+    vm = {b: cod_label[f.image_simplex(s)] for b, s in dom_vertex_of.items()}
     g = SimplicialMap(f"Sd({f.name})", sd_dom, sd_cod, vm)
     return g, sd_dom, sd_cod

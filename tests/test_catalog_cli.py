@@ -140,6 +140,32 @@ def test_cli_analyze_from_files(tmp_path, capsys):
     assert json.loads(out_json.read_text()) == json.loads(printed)
 
 
+@pytest.mark.parametrize("times, want", [(0, EXIT_OK), (1, EXIT_INPUT)])
+def test_cli_colliding_barycenter_labels_are_input_error(tmp_path, capsys, times, want):
+    # Edges {x.y, z} and {x, y.z} would both subdivide to the barycenter ⟨x.y.z⟩.
+    poles, equator = ("x.y", "x"), ("z", "y.z", "c", "d")
+    files = {
+        "octa": {"name": "octa", "maximal_simplices":
+                 [[p, equator[i], equator[(i + 1) % 4]] for p in poles for i in range(4)]},
+        "square": {"name": "square", "maximal_simplices":
+                   [["p", "q"], ["q", "r"], ["r", "t"], ["p", "t"]]},
+        "f": {"name": "f", "domain": "square", "codomain": "octa",
+              "vertex_map": {"p": "z", "q": "y.z", "r": "c", "t": "d"}},
+    }
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    code = main(["analyze", "--complex", str(tmp_path / "octa.json"),
+                 "--complex", str(tmp_path / "square.json"),
+                 "--map", str(tmp_path / "f.json"), "--subdivide", str(times)])
+    captured = capsys.readouterr()
+    assert code == want
+    if want == EXIT_OK:
+        assert json.loads(captured.out)["separation"]["beta0_oracle"] == 2
+    else:
+        assert captured.err == ("input error: two simplices of octa share the "
+                                "barycenter label '⟨x.y.z⟩'\n")
+
+
 def test_cli_oracle_reports_component_count(capsys):
     code = main(["oracle", "--entry", "triple_bouquet_s1_s2"])
     out = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from itertools import combinations
 
@@ -20,6 +21,8 @@ from sepcheck.catalog import (
 from sepcheck.complexes import (
     SimplicialComplex,
     Subcomplex,
+    _chains,
+    barycenter_label,
     barycentric_subdivide,
     complementary_complex,
     connected_components,
@@ -329,3 +332,42 @@ def test_certificate_of_loaded_sd_three_sphere_is_fast(tmp_path):
     elapsed = time.perf_counter() - start
     assert cert == {"is_closed_z2_homology_n_manifold": True, "failures": []}
     assert elapsed < 3.0, f"certificate took {elapsed:.2f}s"
+
+
+# -- barycentric subdivision against the per-chain construction --------------
+
+def _subdivide_reference(k):
+    """Sd(k) building a fresh label string for every simplex of every chain."""
+    vertex_of = {}
+    sd_simplices = []
+    for chain in _chains(k):
+        sd_simplices.append(tuple(sorted(barycenter_label(s) for s in chain)))
+        if len(chain) == 1:
+            vertex_of[barycenter_label(chain[0])] = chain[0]
+    return SimplicialComplex(f"Sd({k.name})", sd_simplices, _closed=True), vertex_of
+
+
+def _assert_subdivide_matches_reference(k):
+    sd, vertex_of = barycentric_subdivide(k)
+    ref, ref_vertex_of = _subdivide_reference(k)
+    assert sd == ref  # == compares names too
+    assert sd.vertices == ref.vertices
+    assert vertex_of == ref_vertex_of
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_subdivide_matches_per_chain_reference_on_random_complexes(k):
+    _assert_subdivide_matches_reference(k)
+
+
+def test_subdivide_matches_per_chain_reference_on_catalog():
+    for k in _catalog_complexes().values():
+        _assert_subdivide_matches_reference(k)
+
+
+def test_colliding_barycenter_labels_are_rejected():
+    # both edges would be the barycenter ⟨a.b.c⟩, merging two vertices of Sd
+    k = SimplicialComplex.from_maximal_simplices("clash", [["a.b", "c"], ["a", "b.c"]])
+    with pytest.raises(ValueError, match=re.escape("'⟨a.b.c⟩'")):
+        barycentric_subdivide(k)

@@ -9,7 +9,6 @@ from sepcheck.gf2 import (
     Echelon,
     LadderDiagram,
     SubspaceBasis,
-    cokernel_dim,
     inverse,
     kernel_basis,
     ladder_check,
@@ -17,8 +16,16 @@ from sepcheck.gf2 import (
     rank,
     solve,
     vec_from_bits,
-    vec_to_bits,
 )
+
+
+def vec_to_bits(v: int, length: int) -> list[int]:
+    return [(v >> j) & 1 for j in range(length)]
+
+
+def cokernel_dim(m: BitMatrix) -> int:
+    """dim of GF(2)^rows / column space = rows - rank."""
+    return m.rows - rank(m)
 
 
 @st.composite

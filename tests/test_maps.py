@@ -1,7 +1,7 @@
 import pytest
 
 from sepcheck.catalog import build_catalog, hexagon, octahedron, triangle_circle
-from sepcheck.complexes import SimplicialComplex
+from sepcheck.complexes import SimplicialComplex, barycenter_label
 from sepcheck.gf2 import BitMatrix
 from sepcheck.homology import chain_complex
 from sepcheck.maps import (
@@ -180,3 +180,18 @@ def test_subdivide_map_is_simplicial_on_catalog():
         g, sd_dom, sd_cod = subdivide_map(entry.map)
         assert validate(g), entry.id
         assert g.domain is sd_dom and g.codomain is sd_cod
+
+
+def test_subdivide_map_sends_each_barycenter_to_the_image_barycenter():
+    for entry in build_catalog().values():
+        f = entry.map
+        g, _, _ = subdivide_map(f)
+        assert g.vertex_map == {barycenter_label(s): barycenter_label(f.image_simplex(s))
+                                for s in f.domain.simplices}, entry.id
+
+
+def test_subdivision_shares_one_label_object_per_barycenter():
+    g, _, sd_s3 = subdivide_map(build_catalog()["equator_s2_s3"].map)
+    assert len({id(v) for s in sd_s3.simplices for v in s}) == len(sd_s3.vertices)
+    own = {id(v) for v in sd_s3.vertices}
+    assert all(id(w) in own for w in g.vertex_map.values())
