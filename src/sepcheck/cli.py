@@ -13,10 +13,9 @@ import random
 import sys
 
 from .catalog import CatalogEntry, build_catalog, catalog_list
-from .complexes import SimplicialComplex, Subcomplex, is_certified_manifold
-from .duality import alexander_duality_check, poincare_duality_check
+from .complexes import SimplicialComplex, is_certified_manifold
+from .duality import poincare_duality_check
 from .gf2 import ladder_check, random_exact_ladder
-from .homology import betti
 from .maps import (
     SimplicialMap,
     image_subcomplex,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, dot, solve
+from .gf2 import BitMatrix, dot, kernel_basis, rank, solve
 from .complexes import (
     SimplicialComplex,
     Subcomplex,
@@ -18,7 +18,6 @@ from .complexes import (
     is_certified_manifold,
 )
 from .homology import (
-    betti,
     chain_complex,
     cohomology_basis,
     homology_basis,
@@ -137,7 +136,6 @@ def poincare_dual(k: SimplicialComplex, n: int, h_coords: int, degree: int) -> C
 
 def poincare_duality_check(k: SimplicialComplex, n: int) -> bool:
     """Cap with [k] is an isomorphism H^d -> H_{n-d} in every degree."""
-    from .gf2 import rank
     for d in range(n + 1):
         mat, hco, hho = _cap_matrix(k, n, n - d)
         if hco.dim != hho.dim or rank(mat) != hco.dim:
@@ -207,7 +205,6 @@ def w1(k: SimplicialComplex, n: int) -> CohomologyClass:
     v = solve(m, rhs)
     if v is None:
         raise RuntimeError("Wu-class system inconsistent")
-    from .gf2 import kernel_basis
     if kernel_basis(m).dim != 0 and h1.dim > 0:
         raise RuntimeError("Wu-class system underdetermined beyond duality kernel")
     cocycle = 0

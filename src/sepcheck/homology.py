@@ -282,13 +282,11 @@ def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:
     """
     if not k.simplices:
         return True
-    lk = l.to_complex()
     ck = chain_complex(k)
-    cl = chain_complex(lk) if l.simplices else None
+    cl = chain_complex(l.to_complex())
     crel = relative_chain_complex(k, l)
 
-    hL = {d: homology_basis(cl, d) if cl else HomologyBasis(d, SubspaceBasis(0, ()), SubspaceBasis(0, ()), 0)
-          for d in range(k.dim + 1)}
+    hL = {d: homology_basis(cl, d) for d in range(k.dim + 1)}
     hK = {d: homology_basis(ck, d) for d in range(k.dim + 1)}
     hR = {d: homology_basis(crel, d) for d in range(k.dim + 1)}
 
@@ -297,11 +295,8 @@ def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:
     dims = []
     for d in range(k.dim, -1, -1):
         # i_*
-        if cl:
-            incl = _inclusion_chain_matrix(l, k, d)
-            i_star = induced_map_from_chain_matrix(incl, hL[d], hK[d]).matrix
-        else:
-            i_star = BitMatrix.zero(hK[d].dim, 0)
+        incl = _inclusion_chain_matrix(l, k, d)
+        i_star = induced_map_from_chain_matrix(incl, hL[d], hK[d]).matrix
         dims.append(hL[d].dim)
         maps.append(i_star)
         # p_*
@@ -325,7 +320,7 @@ def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:
                     if (bz >> i) & 1:
                         if s not in l.simplices:
                             return False
-                        zl |= 1 << (cl.index[d - 1][s] if cl else 0)
+                        zl |= 1 << cl.index[d - 1][s]
                 cols.append(hL[d - 1].coordinates(zl))
             dims.append(hR[d].dim)
             maps.append(BitMatrix.from_columns(hL[d - 1].dim, cols))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -14,7 +15,12 @@ from .complexes import (
 
 
 class SimplicialMap:
-    """Vertex assignment between complexes sending simplices to simplices."""
+    """Vertex assignment between complexes sending simplices to simplices.
+
+    Maps are immutable after construction, like complexes, so the facts
+    derived from one are computed once and kept in ``_memo`` (see
+    ``per_map``).
+    """
 
     def __init__(self, name: str, domain: SimplicialComplex,
                  codomain: SimplicialComplex, vertex_map: dict[str, str]):
@@ -25,6 +31,7 @@ class SimplicialMap:
         missing = set(domain.vertices) - set(self.vertex_map)
         if missing:
             raise ValueError(f"vertex map not total; missing {sorted(missing)}")
+        self._memo: dict = {}  # per_map function -> its value on this map
 
     def image_simplex(self, s) -> tuple[str, ...]:
         return tuple(sorted({self.vertex_map[v] for v in s}))
@@ -70,6 +77,21 @@ class SimplicialMap:
             fh.write("\n")
 
 
+def per_map(fn):
+    """Compute ``fn(f)`` once per map and keep it in ``f._memo``.
+
+    A raise is not stored, so a refused check raises again, with the same
+    hypothesis name, on every call.
+    """
+    @functools.wraps(fn)
+    def memoized(f: SimplicialMap):
+        if fn not in f._memo:
+            f._memo[fn] = fn(f)
+        return f._memo[fn]
+    return memoized
+
+
+@per_map
 def validate(f: SimplicialMap) -> bool:
     """True iff every domain simplex maps to a codomain simplex."""
     return all(f.image_simplex(s) in f.codomain.simplices
@@ -81,9 +103,16 @@ def _require_valid(f: SimplicialMap) -> None:
         raise ValueError(f"{f.name} is not a simplicial map")
 
 
+@per_map
 def image_subcomplex(f: SimplicialMap) -> Subcomplex:
     _require_valid(f)
     return Subcomplex(f.codomain, {f.image_simplex(s) for s in f.domain.simplices})
+
+
+@per_map
+def image_complex(f: SimplicialMap) -> SimplicialComplex:
+    """The image f(M) as a complex of its own."""
+    return image_subcomplex(f).to_complex("f(M)")
 
 
 def chain_map(f: SimplicialMap, degree: int) -> BitMatrix:
@@ -110,6 +139,7 @@ class SelfIntersectionData:
         return self.A.dim
 
 
+@per_map
 def self_intersection(f: SimplicialMap) -> SelfIntersectionData:
     """Closure of {x : f^{-1}f(x) != x} as a subcomplex of the domain.
 
@@ -137,11 +167,19 @@ def self_intersection(f: SimplicialMap) -> SelfIntersectionData:
     return SelfIntersectionData(a, b, is_embedding=a.is_empty())
 
 
-def restriction(f: SimplicialMap, sub: Subcomplex, name: str | None = None) -> SimplicialMap:
-    """f restricted to a subcomplex of its domain, as a map of complexes."""
-    dom = sub.to_complex(name or f"{f.domain.name}|A")
-    vm = {v: f.vertex_map[v] for v in dom.vertices}
-    return SimplicialMap(f"{f.name}|", dom, f.codomain, vm)
+@per_map
+def self_intersection_maps(f: SimplicialMap) -> tuple[SimplicialMap, SimplicialMap]:
+    """The inclusion A -> M and the restriction f|_A: A -> B = f(A).
+
+    Both are built over one complex A, so its chain complex and
+    (co)homology are computed once for every check that reads them.
+    """
+    si = self_intersection(f)
+    incl = inclusion(si.A, "A")
+    a = incl.domain
+    f_a = SimplicialMap(f"{f.name}|A", a, si.B.to_complex("B"),
+                        {v: f.vertex_map[v] for v in a.vertices})
+    return incl, f_a
 
 
 def inclusion(sub: Subcomplex, name: str | None = None) -> SimplicialMap:

@@ -27,22 +27,23 @@ from .homology import (
     chain_complex,
     homology_basis,
     induced_map_from_chain_matrix,
+    induced_on_homology,
 )
 from .maps import (
     SimplicialMap,
+    _require_valid,
     chain_map,
-    image_subcomplex,
-    inclusion,
+    image_complex,
     map_into,
-    restriction,
+    per_map,
     self_intersection,
-    validate,
+    self_intersection_maps,
 )
 from .separation import (
     HypothesisError,
     _require_codim1_certificates,
     _require_positive_codim1,
-    complement_components_oracle,
+    image_components,
 )
 
 
@@ -100,6 +101,7 @@ class ObstructionReport:
         }
 
 
+@per_map
 def dual_class_Uf(f: SimplicialMap) -> CohomologyClass:
     """Poincare dual in the codomain of the pushed-forward fundamental class."""
     m = _require_codim1_certificates(f)
@@ -112,14 +114,14 @@ def dual_class_Uf(f: SimplicialMap) -> CohomologyClass:
     return poincare_dual(n, m + 1, hm.coordinates(pushed), m)
 
 
+@per_map
 def w1_of_map(f: SimplicialMap) -> CohomologyClass:
     """Degree-1 Stiefel-Whitney class of the stable normal bundle of f.
 
     Over Z2 this is f^* w1(codomain) + w1(domain); the dimension gap may
     be any nonnegative integer here (identity maps are legitimate inputs).
     """
-    if not validate(f):
-        raise ValueError(f"{f.name} is not a simplicial map")
+    _require_valid(f)
     m = f.domain.dim
     n = f.codomain.dim
     if not (is_certified_manifold(f.domain, m) and is_certified_manifold(f.codomain, n)):
@@ -130,6 +132,7 @@ def w1_of_map(f: SimplicialMap) -> CohomologyClass:
     return CohomologyClass(f.domain, 1, pulled ^ w1_dom.cocycle)
 
 
+@per_map
 def theta(f: SimplicialMap) -> tuple[int, HomologyBasis]:
     """Primary obstruction (f^* U_f + w1(f)) cap [M], as H_{m-1}(M) coordinates."""
     m = _require_positive_codim1(f)
@@ -147,10 +150,8 @@ def theta_pushforward_check(f: SimplicialMap) -> bool:
     """f_* theta(f) vanishes; a failure here is a bug, not a finding."""
     m = _require_positive_codim1(f)
     th, hm1 = theta(f)
-    src = hm1
     tgt = homology_basis(chain_complex(f.codomain), m - 1)
-    fm = induced_map_from_chain_matrix(chain_map(f, m - 1), src, tgt)
-    return fm.apply(th) == 0
+    return induced_map_from_chain_matrix(chain_map(f, m - 1), hm1, tgt).apply(th) == 0
 
 
 def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutionSet:
@@ -159,33 +160,23 @@ def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutio
     ``theta_coords`` (in the canonical H_{m-1}(domain) basis) may be given
     explicitly; by default it is computed from the obstruction class.
     """
-    if not validate(f):
-        raise ValueError(f"{f.name} is not a simplicial map")
+    _require_valid(f)
     m = f.domain.dim
     if theta_coords is None:
         theta_coords, _ = theta(f)
-    si = self_intersection(f)
-    if si.A.is_empty():
+    if self_intersection(f).A.is_empty():
         if theta_coords != 0:
             raise AssertionError("empty self-intersection with nonzero obstruction")
         return AffineSolutionSet(0, 0, SubspaceBasis(0, ()))
-    a_cx = si.A.to_complex("A")
-    b_cx = si.B.to_complex("B")
-    h_a = homology_basis(chain_complex(a_cx), m - 1)
-    h_m = homology_basis(chain_complex(f.domain), m - 1)
-    h_b = homology_basis(chain_complex(b_cx), m - 1)
-
-    j = inclusion(si.A)  # A -> M
-    j_star = induced_map_from_chain_matrix(chain_map(j, m - 1), h_a, h_m).matrix
-    f_a = restriction(f, si.A, "A")
-    fa_to_b = SimplicialMap(f_a.name, f_a.domain, b_cx, f_a.vertex_map)
-    fa_star = induced_map_from_chain_matrix(chain_map(fa_to_b, m - 1), h_a, h_b).matrix
-
-    system = j_star.vstack(fa_star)
+    j, f_a = self_intersection_maps(f)  # A -> M, A -> B
+    j_star = induced_on_homology(j, m - 1)
+    h_b = homology_basis(chain_complex(f_a.codomain), m - 1)
+    fa_star = induced_map_from_chain_matrix(chain_map(f_a, m - 1), j_star.source, h_b)
+    system = j_star.matrix.vstack(fa_star.matrix)
     particular = solve(system, theta_coords)  # rhs: theta then zeros
     if particular is None:
         raise AssertionError("obstruction localization system unsolvable")
-    return AffineSolutionSet(h_a.dim, particular, kernel_basis(system))
+    return AffineSolutionSet(j_star.source.dim, particular, kernel_basis(system))
 
 
 def cor317_check(f: SimplicialMap) -> bool:
@@ -208,51 +199,25 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
     connecting map factors through the chain-level excision bijection
     between relative simplices of (M, A) and (f(M), B).
     """
-    if not validate(f):
-        raise ValueError(f"{f.name} is not a simplicial map")
+    _require_valid(f)
     m = f.domain.dim
     si = self_intersection(f)
-    img = image_subcomplex(f)
-    img_cx = img.to_complex("f(M)")
+    incl, f_a = self_intersection_maps(f)
+    img_cx = image_complex(f)
     M = f.domain
-
-    a_cx = si.A.to_complex("A") if not si.A.is_empty() else None
-    b_cx = si.B.to_complex("B") if not si.B.is_empty() else None
-
     cM = chain_complex(M)
-    cI = chain_complex(img_cx)
-    cA = chain_complex(a_cx) if a_cx else None
-    cB = chain_complex(b_cx) if b_cx else None
-
-    def hb(c, d):
-        if c is None:
-            return HomologyBasis(d, SubspaceBasis(0, ()), SubspaceBasis(0, ()), 0)
-        return homology_basis(c, d)
+    cA = chain_complex(incl.domain)
+    jpp = map_into(f_a.codomain, img_cx, "j''")
+    fbar = SimplicialMap("fbar", M, img_cx, f.vertex_map)
 
     def alpha_matrix(d):
-        ha = hb(cA, d)
-        hbb = hb(cB, d)
-        hm = hb(cM, d)
-        if ha.n_chains == 0:
-            return BitMatrix.zero(hbb.dim + hm.dim, ha.dim), ha, hbb, hm
-        f_a = restriction(f, si.A, "A")
-        fa_to_b = SimplicialMap(f_a.name, f_a.domain, b_cx, f_a.vertex_map)
-        fa_star = induced_map_from_chain_matrix(chain_map(fa_to_b, d), ha, hbb).matrix
-        i_star = induced_map_from_chain_matrix(chain_map(inclusion(si.A), d), ha, hm).matrix
-        return fa_star.vstack(i_star), ha, hbb, hm
+        fa_star = induced_on_homology(f_a, d)
+        return fa_star.matrix.vstack(induced_on_homology(incl, d).matrix), fa_star.source
 
     def beta_matrix(d):
-        hbb = hb(cB, d)
-        hm = hb(cM, d)
-        hi = hb(cI, d)
-        if hbb.dim:
-            jpp = map_into(b_cx, img_cx, "j''")
-            jpp_star = induced_map_from_chain_matrix(chain_map(jpp, d), hbb, hi).matrix
-        else:
-            jpp_star = BitMatrix.zero(hi.dim, 0)
-        fbar = SimplicialMap("fbar", M, img_cx, f.vertex_map)
-        fbar_star = induced_map_from_chain_matrix(chain_map(fbar, d), hm, hi).matrix
-        return jpp_star.hstack(fbar_star), fbar_star, hi
+        fbar_star = induced_on_homology(fbar, d)
+        return (induced_on_homology(jpp, d).matrix.hstack(fbar_star.matrix),
+                fbar_star.matrix, fbar_star.target)
 
     # chain-level excision bijection on relative m-simplices
     def connecting_matrix(hi_m, ha_m1):
@@ -265,7 +230,6 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
             assert img_s not in rel_I_index, "excision bijection not injective"
             rel_I_index[img_s] = s
         iM = M.simplex_index(m)
-        iMm1 = M.simplex_index(m - 1)
         cols = []
         for z in hi_m.representatives.vectors:
             # project the cycle on f(M) to relative chains and pull back
@@ -283,13 +247,10 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
             cols.append(ha_m1.coordinates(za))
         return BitMatrix.from_columns(ha_m1.dim, cols)
 
-    alpha_m, ha_m, _, _ = alpha_matrix(m)
+    alpha_m, _ = alpha_matrix(m)
     beta_m, fbar_m, hi_m = beta_matrix(m)
-    alpha_m1, ha_m1, _, _ = alpha_matrix(m - 1)
-    if ha_m1.n_chains == 0 and a_cx is None:
-        delta = BitMatrix.zero(0, hi_m.dim)
-    else:
-        delta = connecting_matrix(hi_m, ha_m1)
+    alpha_m1, ha_m1 = alpha_matrix(m - 1)
+    delta = connecting_matrix(hi_m, ha_m1)
 
     exact = True
     # at H_m(B) + H_m(M)
@@ -340,12 +301,9 @@ def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
     th, _ = theta(f)
     push_ok = theta_pushforward_check(f)
     mu = mu_solve(f, th)
-    si = self_intersection(f)
-    a_proper = si.A.simplices != f.domain.simplices
-    img = image_subcomplex(f)
-    img_cx = img.to_complex("f(M)")
-    dim_hm_image = homology_basis(chain_complex(img_cx), m).dim
-    oracle = complement_components_oracle(f.codomain, img)
+    a_proper = self_intersection(f).A.simplices != f.domain.simplices
+    dim_hm_image = homology_basis(chain_complex(image_complex(f)), m).dim
+    oracle = image_components(f)
     w1f_zero = cohomology_class_is_zero(w1f)
     predicate = a_proper and mu.has_nonzero() and w1f_zero
     if predicate:

@@ -17,16 +17,18 @@ from .homology import (
     chain_complex,
     cohomology_basis,
     induced_map_from_chain_matrix,
+    induced_on_cohomology,
 )
 from .maps import (
     SelfIntersectionData,
     SimplicialMap,
+    _require_valid,
     chain_map,
+    image_complex,
     image_subcomplex,
-    inclusion,
-    restriction,
+    per_map,
     self_intersection,
-    validate,
+    self_intersection_maps,
 )
 
 
@@ -99,10 +101,15 @@ def complement_components_oracle(y: SimplicialComplex, f_img: Subcomplex) -> int
     return sum(1 for i, p in enumerate(parent) if p == i and not excluded[i])
 
 
+@per_map
+def image_components(f: SimplicialMap) -> int:
+    """The oracle count of components of codomain - f(domain)."""
+    return complement_components_oracle(f.codomain, image_subcomplex(f))
+
+
 def _require_codim1_certificates(f: SimplicialMap) -> int:
     """Certify domain as closed n-manifold, codomain as closed (n+1)-manifold."""
-    if not validate(f):
-        raise ValueError(f"{f.name} is not a simplicial map")
+    _require_valid(f)
     n = f.domain.dim
     if not is_certified_manifold(f.domain, n):
         raise HypothesisError("domain_closed_manifold",
@@ -144,27 +151,6 @@ def _hypotheses_thm32(f: SimplicialMap, si: SelfIntersectionData) -> dict:
     }
 
 
-def _block_cohomology_map(f: SimplicialMap, si: SelfIntersectionData, degree: int):
-    """(i^*, f|_A^*): H^d(X) + H^d(f(A)) -> H^d(A) as one stacked matrix.
-
-    A must be nonempty.
-    """
-    a_cx = si.A.to_complex("A")
-    b_cx = si.B.to_complex("B")
-    h_a = cohomology_basis(chain_complex(a_cx), degree)
-    h_x = cohomology_basis(chain_complex(f.domain), degree)
-    h_b = cohomology_basis(chain_complex(b_cx), degree)
-
-    incl_a = inclusion(si.A, "A")                      # A -> X
-    i_star = induced_map_from_chain_matrix(
-        chain_map(incl_a, degree).transpose(), h_x, h_a).matrix
-    f_a = restriction(f, si.A, "A")                    # A -> Y, lands in B
-    fa_to_b = SimplicialMap(f_a.name, f_a.domain, b_cx, f_a.vertex_map)
-    fa_star = induced_map_from_chain_matrix(
-        chain_map(fa_to_b, degree).transpose(), h_b, h_a).matrix
-    return i_star.hstack(fa_star)
-
-
 def beta0_formula_thm32(f: SimplicialMap) -> SeparationReport:
     """beta0(Y - f(X)) = 2 + dim coker(i^* + f|_A^*), checked against the oracle."""
     n = _require_codim1_certificates(f)
@@ -175,10 +161,16 @@ def beta0_formula_thm32(f: SimplicialMap) -> SeparationReport:
     if si.A.is_empty():
         coker = 0
     else:
-        block = _block_cohomology_map(f, si, n - 1)
+        # (i^*, f|_A^*): H^{n-1}(X) + H^{n-1}(f(A)) -> H^{n-1}(A), one stacked matrix
+        incl, f_a = self_intersection_maps(f)
+        i_star = induced_on_cohomology(incl, n - 1)
+        h_b = cohomology_basis(chain_complex(f_a.codomain), n - 1)
+        fa_star = induced_map_from_chain_matrix(chain_map(f_a, n - 1).transpose(),
+                                                h_b, i_star.target)
+        block = i_star.matrix.hstack(fa_star.matrix)
         coker = block.rows - rank(block)
     formula = 2 + coker
-    oracle = complement_components_oracle(f.codomain, image_subcomplex(f))
+    oracle = image_components(f)
     return SeparationReport(
         h1_Y_zero=True, A_proper=True, Y_minus_fA_connected=True,
         coker_dim=coker, beta0_formula=formula, beta0_oracle=oracle,
@@ -191,11 +183,8 @@ def eq1_identity_check(f: SimplicialMap) -> bool:
     n = _require_codim1_certificates(f)
     if betti(f.codomain, 1) != 0:
         raise HypothesisError("h1_Y_zero")
-    img = image_subcomplex(f)
-    img_cx = img.to_complex("f(X)")
-    hn = cohomology_basis(chain_complex(img_cx), n).dim
-    oracle = complement_components_oracle(f.codomain, img)
-    return oracle == 1 + hn
+    hn = cohomology_basis(chain_complex(image_complex(f)), n).dim
+    return image_components(f) == 1 + hn
 
 
 def jordan_brouwer_check(f: SimplicialMap) -> bool:
@@ -217,8 +206,7 @@ def prop34_check(f: SimplicialMap) -> dict:
     certificates and H_1(Y;Z2) = 0 hold; otherwise the record reports
     applicability arithmetic alone.
     """
-    if not validate(f):
-        raise ValueError(f"{f.name} is not a simplicial map")
+    _require_valid(f)
     n = f.domain.dim
     si = self_intersection(f)
     dim_a = si.dim_A
@@ -229,8 +217,7 @@ def prop34_check(f: SimplicialMap) -> dict:
     if (is_certified_manifold(f.domain, n)
             and is_certified_manifold(f.codomain, n + 1)
             and betti(f.codomain, 1) == 0):
-        oracle = complement_components_oracle(f.codomain, image_subcomplex(f))
-        record["disconnected"] = oracle >= 2
+        record["disconnected"] = image_components(f) >= 2
         assert record["disconnected"], (
             "disconnection conclusion violated; this contradicts the theorem")
     return record

@@ -192,3 +192,11 @@ def test_zero_dimensional_domain_is_refused(check):
     with pytest.raises(HypothesisError) as exc:
         check(_two_points_into_hexagon())
     assert exc.value.hypothesis == "domain_dim_positive"
+
+
+def test_refusal_is_raised_again_not_stored():
+    f = _two_points_into_hexagon()
+    for _ in range(2):
+        with pytest.raises(HypothesisError) as exc:
+            theta(f)
+        assert exc.value.hypothesis == "domain_dim_positive"

@@ -1,0 +1,89 @@
+"""The per-map memo (``maps.per_map``): each fact of a map is built once.
+
+A memoized fact must not depend on what ran before it on the same map, and
+a refusal is not stored, so it is raised again with the same name.
+"""
+
+import sys
+
+import pytest
+
+from sepcheck import duality, separation
+from sepcheck.catalog import build_catalog
+from sepcheck.cli import analyze_instance
+from sepcheck.maps import SimplicialMap, image_subcomplex, self_intersection, subdivide_map
+from sepcheck.obstruction import (
+    cor317_check,
+    dual_class_Uf,
+    final_theorem_check,
+    mu_solve,
+    mv_sequence_check,
+    theta,
+    theta_pushforward_check,
+    w1_of_map,
+)
+from sepcheck.separation import (
+    HypothesisError,
+    eq1_identity_check,
+    jordan_brouwer_check,
+    prop34_check,
+)
+
+CHECKS = (dual_class_Uf, w1_of_map, theta, theta_pushforward_check, mu_solve,
+          cor317_check, mv_sequence_check, eq1_identity_check, prop34_check,
+          jordan_brouwer_check, final_theorem_check)
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` in every sepcheck namespace that holds it; returns its call args."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("sepcheck."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_analyze_builds_each_fact_of_the_map_once(monkeypatch):
+    f = build_catalog()["figure_eight_s1_s2"].map  # fresh, so its memo is empty
+    oracle = _count_calls(monkeypatch, separation, "complement_components_oracle")
+    duals = _count_calls(monkeypatch, duality, "poincare_dual")
+    w1s = _count_calls(monkeypatch, duality, "w1")
+    analyze_instance(f)
+    subs = [sub for _, sub in oracle]
+    assert len(subs) == 2
+    assert image_subcomplex(f) in subs and self_intersection(f).B in subs
+    assert len(duals) == 1
+    assert len(w1s) == 2  # one for the codomain, one for the domain
+
+
+def _outcome(check, f):
+    try:
+        return check(f)
+    except HypothesisError as e:
+        return ("refused", e.hypothesis)
+
+
+def _fresh(f: SimplicialMap) -> SimplicialMap:
+    """The same map over the same complexes, with an empty memo."""
+    return SimplicialMap(f.name, f.domain, f.codomain, f.vertex_map)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("cid", sorted(build_catalog()))
+def test_checks_ignore_what_ran_before_them(cid, level):
+    f = build_catalog()[cid].map
+    for _ in range(level):
+        f, _, _ = subdivide_map(f)
+    alone = [_outcome(check, _fresh(f)) for check in CHECKS]
+    g = _fresh(f)
+    analyze_instance(g)
+    after = [_outcome(check, g) for check in reversed(CHECKS)]
+    assert after[::-1] == alone

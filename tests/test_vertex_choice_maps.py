@@ -14,10 +14,12 @@ import pytest
 from sepcheck.catalog import build_catalog
 from sepcheck.complexes import barycentric_subdivide
 from sepcheck.maps import SimplicialMap, image_subcomplex, validate
+from sepcheck.obstruction import mv_sequence_check, obstruction_summary, theta_pushforward_check
 from sepcheck.separation import (
     HypothesisError,
     beta0_formula_thm32,
     complement_components_oracle,
+    eq1_identity_check,
 )
 
 CATALOG = build_catalog()
@@ -38,8 +40,10 @@ def compose(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
                          {v: f.vertex_map[w] for v, w in g.vertex_map.items()})
 
 
-@pytest.mark.parametrize("cid", ["equator_s1_s2", "figure_eight_s1_s2",
-                                 "triple_bouquet_s1_s2", "equator_s2_s3"])
+COMPOSED = ["equator_s1_s2", "figure_eight_s1_s2", "triple_bouquet_s1_s2", "equator_s2_s3"]
+
+
+@pytest.mark.parametrize("cid", COMPOSED)
 def test_vertex_choice_composite_keeps_image_and_separation(cid):
     entry = CATALOG[cid]
     f = entry.map
@@ -55,3 +59,21 @@ def test_vertex_choice_composite_keeps_image_and_separation(cid):
         except HypothesisError:
             continue
         assert report.agreement, seed
+
+
+@pytest.mark.parametrize("cid", COMPOSED)
+def test_vertex_choice_composite_satisfies_the_obstruction_claims(cid):
+    """The identity, theta's pushforward, exactness and the final predicate.
+
+    The predicate holds for the figure-eight and the bouquet; the equators
+    are embeddings, with no nonzero mu.
+    """
+    entry = CATALOG[cid]
+    predicate = entry.expected.get("predicate_thm_final", False)
+    assert predicate or entry.expected["final_refusal"] == "exists_nonzero_mu"
+    for seed in SEEDS:
+        h = compose(entry.map, vertex_choice_map(entry.map.domain, seed))
+        assert eq1_identity_check(h), seed
+        assert theta_pushforward_check(h), seed
+        assert mv_sequence_check(h)["exact"], seed
+        assert obstruction_summary(h).predicate_thm_final == predicate, seed
