@@ -8,6 +8,7 @@ closed under taking faces.  Complexes are immutable after construction.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from itertools import combinations
 
 Simplex = tuple[str, ...]
@@ -294,6 +295,12 @@ def link(k: SimplicialComplex, s) -> SimplicialComplex:
     return SimplicialComplex(f"lk({k.name},{'.'.join(s)})", out, _closed=True)
 
 
+def _graph_betti(verts, edges) -> tuple[int, int]:
+    """Z2 Betti numbers (beta0, beta1) of a graph: components and cycle rank."""
+    b0 = _count_components(verts, edges)
+    return b0, len(edges) - len(verts) + b0
+
+
 def manifold_certificate(k: SimplicialComplex, n: int):
     """Closed Z2-homology n-manifold check.
 
@@ -303,6 +310,10 @@ def manifold_certificate(k: SimplicialComplex, n: int):
     gives every (n-1)-simplex exactly two cofacets (its link is the set of
     their opposite vertices).  Returns a dict verdict with the violating
     simplices.
+
+    Links of dimension at most 1 are graphs and are read without matrices:
+    beta0 is a component count and beta1 = E - V + beta0.  Only the links
+    of simplices of dimension n - 3 and below get a chain complex.
     """
     from .homology import chain_complex, betti_numbers
 
@@ -311,20 +322,43 @@ def manifold_certificate(k: SimplicialComplex, n: int):
         return {"is_closed_z2_homology_n_manifold": False,
                 "failures": sorted(k.simplices, key=lambda s: (len(s), s))[:1]}
 
+    # As k.dim == n, an (n-1)-simplex has only n-simplices as cofaces and an
+    # (n-2)-simplex only (n-1)- and n-simplices, so one pass over the top two
+    # skeleta builds their links whole: t - s is a vertex of the link of s
+    # when t is one larger than s, and an edge when t is two larger.
+    # combinations(t, j) lists the complements of combinations(t, |t| - j)
+    # in reverse order, which pairs each face with the vertices it drops.
+    lk_verts: dict[Simplex, list[str]] = defaultdict(list)
+    lk_edges: dict[Simplex, list[Simplex]] = defaultdict(list)
+    for t in k.simplices_of_dim(n):
+        for v, r in zip(reversed(t), combinations(t, n)):
+            lk_verts[r].append(v)
+        if n >= 2:
+            for e, q in zip(reversed(list(combinations(t, 2))), combinations(t, n - 1)):
+                lk_edges[q].append(e)
+    for r in k.simplices_of_dim(n - 1) if n >= 2 else ():
+        for v, q in zip(reversed(r), combinations(r, n - 1)):
+            lk_verts[q].append(v)
+
     for s in sorted(k.simplices, key=lambda x: (len(x), x)):
         d = n - len(s)  # expected sphere dimension of the link
         if d < 0:
             continue  # an n-simplex has no cofaces, so its link is empty
-        lk = link(k, s)
-        if not lk.simplices:
-            failures.append(s)
-            continue
-        b = betti_numbers(chain_complex(lk))
-        want = [2 if d == 0 else 1] + [0] * max(lk.dim, d)
-        if d > 0:
-            want[d] = 1
-        got = [b.get(i, 0) for i in range(len(want))]
-        if got != want:
+        if d == 0:
+            # two points, (beta0, beta1) = (2, 0): exactly two cofacets
+            ok = len(lk_verts.get(s, ())) == 2
+        elif d == 1:
+            # a circle, (beta0, beta1) = (1, 1): a connected graph with E = V
+            ok = _graph_betti(lk_verts.get(s, ()), lk_edges.get(s, ())) == (1, 1)
+        else:
+            lk = link(k, s)
+            ok = bool(lk.simplices)
+            if ok:
+                b = betti_numbers(chain_complex(lk))
+                want = [1] + [0] * max(lk.dim, d)
+                want[d] = 1
+                ok = [b.get(i, 0) for i in range(len(want))] == want
+        if not ok:
             failures.append(s)
 
     ok = not failures

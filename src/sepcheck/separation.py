@@ -81,24 +81,22 @@ def complement_components_oracle(y: SimplicialComplex, f_img: Subcomplex) -> int
     for s in f_img.simplices:
         excluded[index[s]] = 1
     parent = list(range(len(facets)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     # Facets come first in the table, so simplex i is still a singleton when
-    # its turn comes and stays the root of everything joined to it.
+    # its turn comes and stays the root of everything joined to it; each
+    # outside simplex adds a component and each union removes one.
+    count = 0
     for i, faces in enumerate(facets):
         if excluded[i]:
             continue
+        count += 1
         for j in faces:
             if not excluded[j]:
-                r = find(j)
-                if r != i:
-                    parent[r] = i
-    return sum(1 for i, p in enumerate(parent) if p == i and not excluded[i])
+                while parent[j] != j:  # path halving
+                    parent[j] = j = parent[parent[j]]
+                if j != i:
+                    parent[j] = i
+                    count -= 1
+    return count
 
 
 @per_map
@@ -147,8 +145,15 @@ def _hypotheses_thm32(f: SimplicialMap, si: SelfIntersectionData) -> dict:
     return {
         "h1_Y_zero": lambda: betti(f.codomain, 1) == 0,
         "A_proper": lambda: si.A.simplices != f.domain.simplices,
-        "Y_minus_fA_connected": lambda: complement_components_oracle(f.codomain, si.B) == 1,
+        "Y_minus_fA_connected": lambda: _complement_connected(f.codomain, si.B),
     }
+
+
+def _complement_connected(y: SimplicialComplex, b: Subcomplex) -> bool:
+    """Whether y - b is connected; y itself when b is empty (every embedding)."""
+    if b.is_empty():
+        return betti(y, 0) == 1
+    return complement_components_oracle(y, b) == 1
 
 
 def beta0_formula_thm32(f: SimplicialMap) -> SeparationReport:

@@ -236,6 +236,31 @@ def _certificate_reference(k, n):
             "failures": sorted(set(failures), key=lambda s: (len(s), s))}
 
 
+def _certificate_by_links(k, n):
+    """Closed-manifold certificate building every link and its chain complex."""
+    from sepcheck.homology import betti_numbers, chain_complex
+
+    failures = []
+    if k.dim != n or not k.simplices:
+        return {"is_closed_z2_homology_n_manifold": False,
+                "failures": sorted(k.simplices, key=lambda s: (len(s), s))[:1]}
+    for s in sorted(k.simplices, key=lambda x: (len(x), x)):
+        d = n - len(s)
+        if d < 0:
+            continue
+        lk = link(k, s)
+        if not lk.simplices:
+            failures.append(s)
+            continue
+        b = betti_numbers(chain_complex(lk))
+        want = [2 if d == 0 else 1] + [0] * max(lk.dim, d)
+        if d > 0:
+            want[d] = 1
+        if [b.get(i, 0) for i in range(len(want))] != want:
+            failures.append(s)
+    return {"is_closed_z2_homology_n_manifold": not failures, "failures": failures}
+
+
 def _maximal_reference(k):
     return sorted(s for s in k.simplices
                   if not any(s != t and set(s) <= set(t) for t in k.simplices))
@@ -280,6 +305,7 @@ def test_local_link_matches_definition_on_random_complexes(k):
         assert link(k, s) == _link_reference(k, s)
     assert k.maximal_simplices() == _maximal_reference(k)
     assert manifold_certificate(k, k.dim) == _certificate_reference(k, k.dim)
+    assert manifold_certificate(k, k.dim) == _certificate_by_links(k, k.dim)
 
 
 def test_local_link_matches_definition_on_catalog_and_sd():
@@ -314,11 +340,73 @@ def test_certificate_matches_reference_on_broken_complexes():
     for k in (dangling, holed, wedge):
         want = _certificate_reference(k, 2)
         assert not want["is_closed_z2_homology_n_manifold"]
-        assert manifold_certificate(k, 2) == want
+        assert manifold_certificate(k, 2) == want == _certificate_by_links(k, 2)
     assert ("n", "x") in manifold_certificate(dangling, 2)["failures"]
     hole = octahedron().maximal_simplices()[0]
     assert set(combinations(hole, 2)) <= set(manifold_certificate(holed, 2)["failures"])
     assert ("n",) in manifold_certificate(wedge, 2)["failures"]
+
+
+def _fresh(k):
+    """k without the certificate and Betti numbers it may have inherited."""
+    return SimplicialComplex(k.name, k.simplices, _closed=True)
+
+
+def test_certificate_matches_per_link_reference_on_catalog_and_sd():
+    for k in _catalog_complexes_and_sd().values():
+        want = _certificate_by_links(_fresh(k), k.dim)
+        assert want["is_closed_z2_homology_n_manifold"]
+        assert manifold_certificate(_fresh(k), k.dim) == want
+
+
+CATALOG_COMPLEXES = sorted(_catalog_complexes().values(), key=lambda k: k.name)
+
+
+@st.composite
+def perturbed_catalog_complexes(draw):
+    """(catalog complex with one top simplex removed, one random simplex
+    added, or two copies wedged at a vertex; the catalog dimension)."""
+    base = draw(st.sampled_from(CATALOG_COMPLEXES))
+    maximal = [list(s) for s in base.maximal_simplices()]
+    how = draw(st.sampled_from(["remove", "add", "wedge"]))
+    if how == "remove":
+        del maximal[draw(st.integers(0, len(maximal) - 1))]
+    elif how == "add":
+        pool = list(base.vertices) + ["new"]
+        maximal.append(sorted(draw(st.sets(st.sampled_from(pool), min_size=1,
+                                           max_size=base.dim + 1))))
+    else:
+        v = draw(st.sampled_from(base.vertices))
+        maximal += [[u if u == v else u + "'" for u in s] for s in maximal]
+    return SimplicialComplex.from_maximal_simplices(f"{how}({base.name})", maximal), base.dim
+
+
+@given(perturbed_catalog_complexes())
+@settings(max_examples=100, deadline=None)
+def test_certificate_matches_per_link_reference_on_perturbed_catalog(case):
+    k, n = case
+    assert manifold_certificate(k, n) == _certificate_by_links(k, n)
+
+
+def _count_link_builds(monkeypatch, k, n):
+    """Links manifold_certificate(k, n) builds; k must pass."""
+    from sepcheck import complexes
+    built = []
+
+    def counting(k, s):
+        built.append(s)
+        return link(k, s)
+
+    monkeypatch.setattr(complexes, "link", counting)
+    assert manifold_certificate(k, n)["is_closed_z2_homology_n_manifold"]
+    return len(built)
+
+
+def test_certificate_builds_only_links_of_dimension_two(monkeypatch):
+    sd_octa, _ = barycentric_subdivide(octahedron())
+    assert _count_link_builds(monkeypatch, _fresh(sd_octa), 2) == 0
+    sd_s3, _ = barycentric_subdivide(cross_polytope_s3())
+    assert _count_link_builds(monkeypatch, _fresh(sd_s3), 3) == len(sd_s3.vertices) == 80
 
 
 def test_certificate_of_loaded_sd_three_sphere_is_fast(tmp_path):

@@ -3,6 +3,8 @@
 ``tests/golden/<entry>.sd<k>.json`` is the exact text that
 ``sepcheck analyze --entry <entry> --subdivide <k>`` prints, and
 ``tests/golden/selftest.txt`` the output of ``sepcheck selftest``.
+The same reports must come out when the catalog is read back from files,
+whose complexes inherit no certificate or Betti numbers.
 A change that moves any of these bytes changes behaviour.  The ``Sd^2``
 reports also bound the cost: the whole catalog at ``Sd^2`` runs in seconds.
 """
@@ -16,7 +18,8 @@ from sepcheck.catalog import build_catalog
 from sepcheck.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-ENTRIES = sorted(build_catalog())
+CATALOG = build_catalog()
+ENTRIES = sorted(CATALOG)
 
 
 def test_every_catalog_entry_has_goldens():
@@ -28,6 +31,20 @@ def test_every_catalog_entry_has_goldens():
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_analyze_report_matches_golden(capsys, entry, k):
     main(["analyze", "--entry", entry, "--subdivide", str(k)])
+    assert capsys.readouterr().out == (GOLDEN / f"{entry}.sd{k}.json").read_text()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_analyze_report_from_files_matches_golden(capsys, tmp_path, entry, k):
+    code = main(["analyze", "--entry", entry, "--subdivide", str(k)])
+    capsys.readouterr()
+    args = ["analyze", "--map", str(tmp_path / "map.json"), "--subdivide", str(k)]
+    CATALOG[entry].map.save(tmp_path / "map.json")
+    for name, c in sorted(CATALOG[entry].complexes.items()):
+        c.save(tmp_path / f"{name}.complex.json")
+        args += ["--complex", str(tmp_path / f"{name}.complex.json")]
+    assert main(args) == code
     assert capsys.readouterr().out == (GOLDEN / f"{entry}.sd{k}.json").read_text()
 
 

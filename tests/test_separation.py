@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepcheck.catalog import build_catalog, octahedron
-from sepcheck.complexes import Subcomplex, complementary_complex, connected_components
-from sepcheck.maps import image_subcomplex, self_intersection, subdivide_map
+from sepcheck.catalog import build_catalog, octahedron, square_circle
+from sepcheck.complexes import (
+    SimplicialComplex,
+    Subcomplex,
+    complementary_complex,
+    connected_components,
+)
+from sepcheck.maps import SimplicialMap, image_subcomplex, self_intersection, subdivide_map
 from sepcheck.separation import (
     HypothesisError,
     beta0_formula_thm32,
@@ -126,6 +131,26 @@ def test_refused_h1_skips_oracle_on_b(monkeypatch):
 
 def test_accepted_map_runs_oracle_on_b_once(monkeypatch):
     assert _count_oracle_calls_on_b(monkeypatch, "figure_eight_s1_s2") == 1
+
+
+def test_embedding_needs_no_oracle_on_empty_b(monkeypatch):
+    # B is empty, so Y - f(B) is Y and its b0 decides connectedness
+    assert _count_oracle_calls_on_b(monkeypatch, "equator_s1_s2") == 0
+
+
+def test_empty_b_in_disconnected_codomain_is_refused():
+    """An equator of one octahedron mapped into two disjoint octahedra."""
+    faces = [list(s) for s in octahedron().maximal_simplices()]
+    two = SimplicialComplex.from_maximal_simplices(
+        "two_octahedra", faces + [[v.upper() for v in s] for s in faces])
+    square = square_circle()
+    f = SimplicialMap("equator_in_two", square, two, {v: v for v in square.vertices})
+    assert self_intersection(f).B.is_empty()
+    assert check_hypotheses_thm32(f) == {
+        "h1_Y_zero": True, "A_proper": True, "Y_minus_fA_connected": False}
+    with pytest.raises(HypothesisError) as exc:
+        beta0_formula_thm32(f)
+    assert exc.value.hypothesis == "Y_minus_fA_connected"
 
 
 def test_hypotheses_report_every_key_when_h1_fails():
