@@ -13,7 +13,7 @@ import random
 import sys
 
 from .catalog import CatalogEntry, build_catalog, catalog_list
-from .complexes import SimplicialComplex, is_certified_manifold
+from .complexes import SimplicialComplex, barycentric_subdivide, is_certified_manifold
 from .duality import poincare_duality_check
 from .gf2 import ladder_check, random_exact_ladder
 from .maps import (
@@ -53,12 +53,13 @@ def _load_instance(args) -> SimplicialMap:
         return SimplicialMap.from_json_dict(json.load(fh), complexes)
 
 
-def _subdivided(f: SimplicialMap, times: int) -> SimplicialMap:
+def _subdivided(x, times: int):
+    """A SimplicialMap or a SimplicialComplex after ``times`` barycentric subdivisions."""
     if times < 0:
         raise ValueError(f"--subdivide must be at least 0, got {times}")
     for _ in range(times):
-        f, _, _ = subdivide_map(f)
-    return f
+        x = subdivide_map(x)[0] if isinstance(x, SimplicialMap) else barycentric_subdivide(x)[0]
+    return x
 
 
 def analyze_instance(f: SimplicialMap) -> tuple[dict, int]:
@@ -146,12 +147,12 @@ def cmd_oracle(args) -> int:
 def cmd_duality_check(args) -> int:
     try:
         if args.entry or args.map:
-            f = _load_instance(args)
+            f = _subdivided(_load_instance(args), args.subdivide)
             targets = [(f.domain, f.domain.dim), (f.codomain, f.codomain.dim)]
         elif args.complex:
             targets = []
             for path in args.complex:
-                k = SimplicialComplex.load(path)
+                k = _subdivided(SimplicialComplex.load(path), args.subdivide)
                 targets.append((k, k.dim))
         else:
             raise ValueError("need --entry, --map, or --complex")

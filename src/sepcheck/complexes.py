@@ -11,6 +11,8 @@ import json
 from collections import defaultdict
 from itertools import combinations
 
+from .gf2 import Echelon
+
 Simplex = tuple[str, ...]
 
 
@@ -44,6 +46,8 @@ class SimplicialComplex:
         # and Z2 Betti numbers.
         self._manifold_dims: set[int] = set()
         self._betti: dict[int, int] = {}
+        # Dimensions whose certificate failed; kept, not inherited.
+        self._non_manifold_dims: set[int] = set()
 
     @staticmethod
     def from_maximal_simplices(name: str, maximal) -> "SimplicialComplex":
@@ -295,10 +299,23 @@ def link(k: SimplicialComplex, s) -> SimplicialComplex:
     return SimplicialComplex(f"lk({k.name},{'.'.join(s)})", out, _closed=True)
 
 
-def _graph_betti(verts, edges) -> tuple[int, int]:
-    """Z2 Betti numbers (beta0, beta1) of a graph: components and cycle rank."""
+def _link_betti(verts, edges, tris) -> tuple[int, int, int]:
+    """Z2 Betti numbers (beta0, beta1, beta2) of a complex of dimension <= 2.
+
+    ``verts`` are labels and ``edges``, ``tris`` sorted tuples of them,
+    together closed under faces.  beta0 counts components and r, the GF(2) rank
+    of the boundary of the triangles over the edges, gives
+    beta1 = E - V + beta0 - r and beta2 = F - r.
+    """
     b0 = _count_components(verts, edges)
-    return b0, len(edges) - len(verts) + b0
+    r = 0
+    if tris:
+        bit = {e: 1 << i for i, e in enumerate(edges)}
+        r = len(Echelon(bit[a, b] | bit[a, c] | bit[b, c] for a, b, c in tris).rows)
+    return b0, len(edges) - len(verts) + b0 - r, len(tris) - r
+
+
+_SPHERE_BETTI = {0: (2, 0, 0), 1: (1, 1, 0), 2: (1, 0, 1)}
 
 
 def manifold_certificate(k: SimplicialComplex, n: int):
@@ -309,66 +326,63 @@ def manifold_certificate(k: SimplicialComplex, n: int):
     k pure (a simplex in no n-simplex has an empty or too-low link) and
     gives every (n-1)-simplex exactly two cofacets (its link is the set of
     their opposite vertices).  Returns a dict verdict with the violating
-    simplices.
+    simplices, in order of size and then label.
 
-    Links of dimension at most 1 are graphs and are read without matrices:
-    beta0 is a component count and beta1 = E - V + beta0.  Only the links
-    of simplices of dimension n - 3 and below get a chain complex.
+    Links of dimension at most 2 (those of simplices of codimension 1, 2
+    and 3) are tabulated in one pass over the top three skeleta and read by
+    ``_link_betti``: a component count and one GF(2) rank.  Only links of
+    dimension 3 and more, which no closed 3-manifold has, get a link
+    complex and a chain complex.  Both verdicts are kept on k for
+    ``is_certified_manifold``.
     """
     from .homology import chain_complex, betti_numbers
 
-    failures = []
     if k.dim != n or not k.simplices:
+        k._non_manifold_dims.add(n)
         return {"is_closed_z2_homology_n_manifold": False,
                 "failures": sorted(k.simplices, key=lambda s: (len(s), s))[:1]}
 
-    # As k.dim == n, an (n-1)-simplex has only n-simplices as cofaces and an
-    # (n-2)-simplex only (n-1)- and n-simplices, so one pass over the top two
-    # skeleta builds their links whole: t - s is a vertex of the link of s
-    # when t is one larger than s, and an edge when t is two larger.
-    # combinations(t, j) lists the complements of combinations(t, |t| - j)
-    # in reverse order, which pairs each face with the vertices it drops.
-    lk_verts: dict[Simplex, list[str]] = defaultdict(list)
-    lk_edges: dict[Simplex, list[Simplex]] = defaultdict(list)
-    for t in k.simplices_of_dim(n):
-        for v, r in zip(reversed(t), combinations(t, n)):
-            lk_verts[r].append(v)
-        if n >= 2:
-            for e, q in zip(reversed(list(combinations(t, 2))), combinations(t, n - 1)):
-                lk_edges[q].append(e)
-    for r in k.simplices_of_dim(n - 1) if n >= 2 else ():
-        for v, q in zip(reversed(r), combinations(r, n - 1)):
-            lk_verts[q].append(v)
+    # lk[j][s] lists the faces with j vertices of the link of s: t - s over
+    # the cofaces t of s with |t| = |s| + j.  As k.dim == n, a simplex of
+    # codimension at most 3 has all its cofaces in the top three skeleta, so
+    # one pass over them builds its link whole.  combinations(t, j) lists the
+    # complements of combinations(t, |t| - j) in reverse order, which pairs
+    # each face of t with the vertices it drops.
+    low = max(n - 2, 1)  # vertex count of the smallest tabulated simplex
+    lk: list[dict[Simplex, list]] = [defaultdict(list) for _ in range(4)]
+    for size in range(low + 1, n + 2):
+        for t in k.simplices_of_dim(size - 1):
+            for j in range(1, size - low + 1):
+                faces = reversed(t) if j == 1 else reversed(list(combinations(t, j)))
+                for face, s in zip(faces, combinations(t, size - j)):
+                    lk[j][s].append(face)
 
-    for s in sorted(k.simplices, key=lambda x: (len(x), x)):
-        d = n - len(s)  # expected sphere dimension of the link
-        if d < 0:
-            continue  # an n-simplex has no cofaces, so its link is empty
-        if d == 0:
-            # two points, (beta0, beta1) = (2, 0): exactly two cofacets
-            ok = len(lk_verts.get(s, ())) == 2
-        elif d == 1:
-            # a circle, (beta0, beta1) = (1, 1): a connected graph with E = V
-            ok = _graph_betti(lk_verts.get(s, ()), lk_edges.get(s, ())) == (1, 1)
-        else:
-            lk = link(k, s)
-            ok = bool(lk.simplices)
-            if ok:
-                b = betti_numbers(chain_complex(lk))
-                want = [1] + [0] * max(lk.dim, d)
-                want[d] = 1
-                ok = [b.get(i, 0) for i in range(len(want))] == want
-        if not ok:
-            failures.append(s)
+    failures = []
+    for dim in range(n):  # an n-simplex has no cofaces, so its link is empty
+        d = n - 1 - dim  # expected sphere dimension of the link
+        for s in k.simplices_of_dim(dim):
+            if d <= 2:
+                ok = _link_betti(*(lk[j].get(s, ()) for j in (1, 2, 3))) == _SPHERE_BETTI[d]
+            else:
+                lk_s = link(k, s)
+                ok = bool(lk_s.simplices)
+                if ok:
+                    b = betti_numbers(chain_complex(lk_s))
+                    want = [1] + [0] * max(lk_s.dim, d)
+                    want[d] = 1
+                    ok = [b.get(i, 0) for i in range(len(want))] == want
+            if not ok:
+                failures.append(s)
 
     ok = not failures
-    if ok:
-        k._manifold_dims.add(n)
+    (k._manifold_dims if ok else k._non_manifold_dims).add(n)
     return {"is_closed_z2_homology_n_manifold": ok, "failures": failures}
 
 
 def is_certified_manifold(k: SimplicialComplex, n: int) -> bool:
-    """Certificate with caching; subdivisions inherit their source's verdict."""
+    """Certificate, computed once per (k, n); subdivisions inherit a pass only."""
     if n in k._manifold_dims:
         return True
+    if n in k._non_manifold_dims:
+        return False
     return manifold_certificate(k, n)["is_closed_z2_homology_n_manifold"]

@@ -180,6 +180,38 @@ def test_cli_duality_check_entry(capsys):
     assert all(item["certified"] and item["poincare_duality"] for item in out)
 
 
+def test_cli_duality_check_subdivides_entry(capsys):
+    code = main(["duality-check", "--entry", "equator_s1_s2", "--subdivide", "2"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert [(item["complex"], item["dim"]) for item in out] == [
+        ("Sd(Sd(square))", 1), ("Sd(Sd(octahedron))", 2)]
+    assert all(item["certified"] and item["poincare_duality"] for item in out)
+
+
+def test_cli_duality_check_subdivides_every_complex_file(tmp_path, capsys):
+    args = []
+    for name in ("square", "octahedron"):
+        path = tmp_path / f"{name}.json"
+        build_catalog()["equator_s1_s2"].complexes[name].save(path)
+        args += ["--complex", str(path)]
+    code = main(["duality-check", *args, "--subdivide", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert [item["complex"] for item in out] == ["Sd(square)", "Sd(octahedron)"]
+    assert all(item["certified"] and item["poincare_duality"] for item in out)
+
+
+@pytest.mark.parametrize("target", ["--entry", "--complex"])
+def test_cli_duality_check_negative_subdivide_is_input_error(target, tmp_path, capsys):
+    path = tmp_path / "square.json"
+    build_catalog()["equator_s1_s2"].complexes["square"].save(path)
+    value = "equator_s1_s2" if target == "--entry" else str(path)
+    code = main(["duality-check", target, value, "--subdivide", "-1"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: --subdivide must be at least 0, got -1\n"
+
+
 def test_cli_analyze_is_deterministic(capsys):
     assert main(["analyze", "--entry", "figure_eight_s1_s2"]) == EXIT_OK
     first = capsys.readouterr().out

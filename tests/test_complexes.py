@@ -4,7 +4,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepcheck.catalog import (
@@ -22,6 +22,7 @@ from sepcheck.complexes import (
     SimplicialComplex,
     Subcomplex,
     _chains,
+    _link_betti,
     barycenter_label,
     barycentric_subdivide,
     complementary_complex,
@@ -402,11 +403,56 @@ def _count_link_builds(monkeypatch, k, n):
     return len(built)
 
 
-def test_certificate_builds_only_links_of_dimension_two(monkeypatch):
+def test_certificate_builds_no_link_below_dimension_three(monkeypatch):
     sd_octa, _ = barycentric_subdivide(octahedron())
     assert _count_link_builds(monkeypatch, _fresh(sd_octa), 2) == 0
     sd_s3, _ = barycentric_subdivide(cross_polytope_s3())
-    assert _count_link_builds(monkeypatch, _fresh(sd_s3), 3) == len(sd_s3.vertices) == 80
+    assert _count_link_builds(monkeypatch, _fresh(sd_s3), 3) == 0
+
+
+def _suspension(k):
+    """k joined with two apexes, ``north`` and ``south``."""
+    return SimplicialComplex.from_maximal_simplices(
+        f"S({k.name})", [[*s, pole] for s in k.maximal_simplices() for pole in ("north", "south")])
+
+
+@pytest.mark.parametrize("surface", [csaszar_torus, rp2_six_vertex])
+def test_suspended_surface_fails_exactly_at_its_apexes(surface):
+    """Each apex has the surface as its link: a torus or RP², not a 2-sphere."""
+    k = _suspension(surface())
+    cert = manifold_certificate(k, 3)
+    assert cert == {"is_closed_z2_homology_n_manifold": False,
+                    "failures": [("north",), ("south",)]}
+    assert cert == _certificate_by_links(k, 3)
+
+
+def test_suspended_sphere_is_a_manifold():
+    k = _suspension(octahedron())
+    assert manifold_certificate(k, 3) == {"is_closed_z2_homology_n_manifold": True,
+                                          "failures": []}
+    assert _certificate_by_links(k, 3)["is_closed_z2_homology_n_manifold"]
+
+
+@st.composite
+def two_complexes(draw):
+    """Closure of up to 10 random simplices of dim <= 2 on 6 vertices."""
+    maximal = draw(st.lists(st.sets(st.sampled_from("abcdef"), min_size=1, max_size=3),
+                            min_size=1, max_size=10))
+    return SimplicialComplex.from_maximal_simplices("random2", [sorted(s) for s in maximal])
+
+
+@given(two_complexes())
+@example(SimplicialComplex.from_maximal_simplices(  # an edge in 3 triangles, a loose triangle
+    "book", [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"], ["f", "g", "h"]]))
+@example(SimplicialComplex.from_maximal_simplices(  # edges in 1 triangle, a loose point
+    "disk", [["a", "b", "c"], ["a", "c", "d"], ["x"]]))
+@settings(max_examples=200, deadline=None)
+def test_link_betti_matches_chain_complex_on_random_two_complexes(k):
+    from sepcheck.homology import betti_numbers, chain_complex
+
+    b = betti_numbers(chain_complex(k))
+    assert _link_betti(list(k.vertices), k.simplices_of_dim(1), k.simplices_of_dim(2)) \
+        == (b.get(0, 0), b.get(1, 0), b.get(2, 0))
 
 
 def test_certificate_of_loaded_sd_three_sphere_is_fast(tmp_path):

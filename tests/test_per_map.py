@@ -5,12 +5,14 @@ a refusal is not stored, so it is raised again with the same name.
 """
 
 import sys
+from collections import Counter
 
 import pytest
 
-from sepcheck import duality, separation
-from sepcheck.catalog import build_catalog
-from sepcheck.cli import analyze_instance
+from sepcheck import complexes, duality, separation
+from sepcheck.catalog import build_catalog, octahedron, square_circle
+from sepcheck.cli import EXIT_REFUSED, analyze_instance
+from sepcheck.complexes import SimplicialComplex, barycentric_subdivide
 from sepcheck.maps import SimplicialMap, image_subcomplex, self_intersection, subdivide_map
 from sepcheck.obstruction import (
     cor317_check,
@@ -62,6 +64,21 @@ def test_analyze_builds_each_fact_of_the_map_once(monkeypatch):
     assert image_subcomplex(f) in subs and self_intersection(f).B in subs
     assert len(duals) == 1
     assert len(w1s) == 2  # one for the codomain, one for the domain
+
+
+def test_analyze_certifies_each_complex_once(monkeypatch):
+    """A failing certificate is kept on its complex like a passing one."""
+    faces = [list(s) for s in octahedron().maximal_simplices()]
+    ybad = SimplicialComplex.from_maximal_simplices("dangling", faces + [["n", "x"]])
+    square = square_circle()
+    f = SimplicialMap("equator_in_dangling", square, ybad, {v: v for v in square.vertices})
+    certs = _count_calls(monkeypatch, complexes, "manifold_certificate")
+    report, code = analyze_instance(f)
+    assert code == EXIT_REFUSED
+    assert report["separation"] == {"refused": "codomain_closed_manifold"}
+    assert Counter((k.name, n) for k, n in certs) == {("square", 1): 1, ("dangling", 2): 1}
+    sd, _ = barycentric_subdivide(ybad)
+    assert not sd._non_manifold_dims  # a failure is not inherited
 
 
 def _outcome(check, f):

@@ -77,3 +77,21 @@ def test_vertex_choice_composite_satisfies_the_obstruction_claims(cid):
         assert theta_pushforward_check(h), seed
         assert mv_sequence_check(h)["exact"], seed
         assert obstruction_summary(h).predicate_thm_final == predicate, seed
+
+
+REFUSED = ["double_wrap_s1", "essential_circle_t2", "rp2_identity", "rp2_essential_circle"]
+
+
+@pytest.mark.parametrize("cid", REFUSED)
+def test_vertex_choice_composite_is_refused_like_its_entry(cid):
+    """f∘g keeps the hypothesis f fails, and the oracle count where one is given."""
+    entry = CATALOG[cid]
+    for seed in SEEDS:
+        h = compose(entry.map, vertex_choice_map(entry.map.domain, seed))
+        assert validate(h), seed
+        with pytest.raises(HypothesisError) as exc:
+            beta0_formula_thm32(h)
+        assert exc.value.hypothesis == entry.expected["separation_refusal"], seed
+        if "beta0_oracle" in entry.expected:
+            assert complement_components_oracle(h.codomain, image_subcomplex(h)) \
+                == entry.expected["beta0_oracle"], seed
