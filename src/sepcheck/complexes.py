@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from itertools import combinations
+from itertools import chain, combinations
 
 from .gf2 import Echelon
 
@@ -20,22 +20,29 @@ class SimplicialComplex:
     """Finite abstract simplicial complex with totally ordered string vertices."""
 
     def __init__(self, name: str, simplices, *, _closed: bool = False):
-        simps = {tuple(sorted(s)) for s in simplices}
-        for s in simps:
-            if len(set(s)) != len(s):
-                raise ValueError(f"duplicate vertex inside simplex {s}")
-            if not s:
-                raise ValueError("empty simplex not allowed")
-        if not _closed:
+        """Complex on the face closure of ``simplices``, each sorted and checked.
+
+        ``_closed=True`` is for internal callers that already pass a list or
+        set of sorted, duplicate-free and face-closed tuples; those are taken
+        as they are, and the vertices and dimension are read in the caller's
+        order, which for a freshly built list is the order in memory.
+        """
+        if _closed:
+            simps = frozenset(simplices)
+        else:
             closure = set()
-            for s in simps:
+            for s in {tuple(sorted(s)) for s in simplices}:
+                if len(set(s)) != len(s):
+                    raise ValueError(f"duplicate vertex inside simplex {s}")
+                if not s:
+                    raise ValueError("empty simplex not allowed")
                 for d in range(1, len(s) + 1):
                     closure.update(combinations(s, d))
-            simps = closure
+            simplices = simps = frozenset(closure)
         self.name = name
-        self.simplices: frozenset[Simplex] = frozenset(simps)
-        self.vertices: tuple[str, ...] = tuple(sorted({v for s in simps for v in s}))
-        self.dim = max((len(s) - 1 for s in simps), default=-1)
+        self.simplices: frozenset[Simplex] = simps
+        self.vertices: tuple[str, ...] = tuple(sorted(s[0] for s in simplices if len(s) == 1))
+        self.dim = max(map(len, simplices), default=0) - 1
         self._by_dim: dict[int, list[Simplex]] = {}
         self._index: dict[int, dict[Simplex, int]] = {}
         self._star: dict[str, list[Simplex]] | None = None
@@ -75,9 +82,24 @@ class SimplicialComplex:
         if self._facets is None:
             index = {s: i for i, s in enumerate(sorted(self.simplices, key=len))}
             get = index.__getitem__
-            facets = tuple(tuple(map(get, combinations(s, len(s) - 1))) if len(s) > 1 else ()
-                           for s in index)
-            self._facets = (index, facets)
+            facets = []
+            for s in index:  # unpacked up to size 4, in the order of combinations
+                n = len(s)
+                if n == 1:
+                    facets.append(())
+                elif n == 2:
+                    a, b = s
+                    facets.append((get((a,)), get((b,))))
+                elif n == 3:
+                    a, b, c = s
+                    facets.append((get((a, b)), get((a, c)), get((b, c))))
+                elif n == 4:
+                    a, b, c, d = s
+                    facets.append((get((a, b, c)), get((a, b, d)), get((a, c, d)),
+                                   get((b, c, d))))
+                else:
+                    facets.append(tuple(map(get, combinations(s, n - 1))))
+            self._facets = (index, tuple(facets))
         return self._facets
 
     def _cofaces(self, s: Simplex):
@@ -156,7 +178,7 @@ class SimplicialComplex:
 
 
 class Subcomplex:
-    """A face-closed subset of a parent complex's simplices."""
+    """A face-closed subset of a parent complex's simplices; immutable."""
 
     def __init__(self, parent: SimplicialComplex, simplices):
         simps = frozenset(tuple(sorted(s)) for s in simplices)
@@ -170,6 +192,8 @@ class Subcomplex:
         self.parent = parent
         self.simplices = simps
         self.dim = max((len(s) - 1 for s in simps), default=-1)
+        # separation.complement_components_oracle, counted on first use
+        self._components: int | None = None
 
     @staticmethod
     def closure(parent: SimplicialComplex, simplices) -> "Subcomplex":
@@ -232,41 +256,38 @@ def barycenter_label(s: Simplex) -> str:
     return "⟨" + ".".join(s) + "⟩"
 
 
-def _chains(k) -> list[tuple[Simplex, ...]]:
-    """All nonempty chains of the face poset, memoized per top element."""
-    simplices = sorted(k.simplices, key=len) if isinstance(k, SimplicialComplex) else sorted(k, key=len)
-    present = set(simplices)
-    ending: dict[Simplex, list[tuple[Simplex, ...]]] = {}
-    for s in simplices:
-        chains = [(s,)]
-        for d in range(1, len(s)):
-            for f in combinations(s, d):
-                if f in present:
-                    chains.extend(c + (s,) for c in ending[f])
-        ending[s] = chains
-    out = []
-    for v in ending.values():
-        out.extend(v)
-    return out
-
-
 def barycentric_subdivide(k: SimplicialComplex):
     """First barycentric subdivision.
 
     Returns (Sd(k), dictionary new-vertex-label -> original simplex).
-    Each barycenter label is built once and shared by every simplex of
-    Sd(k) that contains it, so the set build, sorts and lookups on Sd(k)
-    reuse one cached string hash and compare equal labels by identity.
-    Raises ValueError when two simplices of k get the same label.
+    A simplex of Sd(k) is the set of barycenters of a chain s_0 < ... < s_j
+    of simplices of k.  The chains ending at s are built from those ending
+    at the proper faces of s, each as a label-sorted tuple, so every simplex
+    of Sd(k) is made once and never sorted again.  The barycenter of s is
+    put in front when its label sorts before the first label of the chain,
+    as it usually does (a coface's label sorts before its face's), and the
+    tuple is sorted otherwise.
+    Each barycenter label is built once and shared by every simplex of Sd(k)
+    that contains it, so the set build, sorts and lookups on Sd(k) reuse one
+    cached string hash and compare equal labels by identity.  Raises
+    ValueError when two simplices of k get the same label.
     """
     label = {s: barycenter_label(s) for s in k.simplices}
     vertex_of = {b: s for s, b in label.items()}
     if len(vertex_of) != len(label):
         clash = next(b for s, b in label.items() if vertex_of[b] != s)
         raise ValueError(f"two simplices of {k.name} share the barycenter label {clash!r}")
-    get = label.__getitem__
-    sd_simplices = [tuple(sorted(map(get, chain))) for chain in _chains(k)]
-    sd = SimplicialComplex(f"Sd({k.name})", sd_simplices, _closed=True)
+    ending: dict[Simplex, list[Simplex]] = {}
+    for s in sorted(k.simplices, key=len):
+        b = label[s]
+        bt = (b,)
+        chains = [bt]
+        for d in range(1, len(s)):
+            for f in combinations(s, d):
+                chains += [bt + c if b < c[0] else tuple(sorted(c + bt)) for c in ending[f]]
+        ending[s] = chains
+    sd = SimplicialComplex(f"Sd({k.name})", list(chain.from_iterable(ending.values())),
+                           _closed=True)
     sd._manifold_dims = set(k._manifold_dims)
     sd._betti = dict(k._betti)
     return sd, vertex_of

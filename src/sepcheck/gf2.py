@@ -42,6 +42,15 @@ class BitMatrix:
             if r & ~mask:
                 raise ValueError("row has bits beyond declared width")
 
+    @classmethod
+    def _built(cls, rows: int, cols: int, data: tuple[int, ...]) -> "BitMatrix":
+        """A matrix whose shape holds by construction, made without the checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
+
     @staticmethod
     def zero(rows: int, cols: int) -> "BitMatrix":
         return BitMatrix(rows, cols, (0,) * rows)
@@ -73,7 +82,7 @@ class BitMatrix:
                 low = c & -c
                 data[low.bit_length() - 1] |= bit
                 c ^= low
-        return BitMatrix(rows, len(cols), tuple(data))
+        return BitMatrix._built(rows, len(cols), tuple(data))
 
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
@@ -98,7 +107,7 @@ class BitMatrix:
                 acc ^= other.data[j]
                 r &= r - 1
             out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
+        return BitMatrix._built(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_columns(self.cols, self.data)
@@ -107,12 +116,12 @@ class BitMatrix:
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
         data = tuple(a | (b << self.cols) for a, b in zip(self.data, other.data))
-        return BitMatrix(self.rows, self.cols + other.cols, data)
+        return BitMatrix._built(self.rows, self.cols + other.cols, data)
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return BitMatrix(self.rows + other.rows, self.cols, self.data + other.data)
+        return BitMatrix._built(self.rows + other.rows, self.cols, self.data + other.data)
 
     def column(self, j: int) -> int:
         out = 0

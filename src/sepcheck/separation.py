@@ -26,7 +26,6 @@ from .maps import (
     chain_map,
     image_complex,
     image_subcomplex,
-    per_map,
     self_intersection,
     self_intersection_maps,
 )
@@ -72,10 +71,13 @@ def complement_components_oracle(y: SimplicialComplex, f_img: Subcomplex) -> int
     its outside facets suffices: the outside simplices are closed upwards,
     so for outside s < t every simplex between them is outside, and a chain
     of facets leads from t down to s.  The facet table is cached on y, so a
-    call costs one pass over it whatever the subcomplex.
+    count costs one pass over it whatever the subcomplex, and the count is
+    kept on f_img, so every later call on it costs nothing.
     """
     if f_img.parent is not y and f_img.parent != y:
         raise ValueError("image is not a subcomplex of the codomain")
+    if f_img._components is not None:
+        return f_img._components
     index, facets = y.facet_table()
     excluded = bytearray(len(facets))
     for s in f_img.simplices:
@@ -96,10 +98,10 @@ def complement_components_oracle(y: SimplicialComplex, f_img: Subcomplex) -> int
                 if j != i:
                     parent[j] = i
                     count -= 1
+    f_img._components = count
     return count
 
 
-@per_map
 def image_components(f: SimplicialMap) -> int:
     """The oracle count of components of codomain - f(domain)."""
     return complement_components_oracle(f.codomain, image_subcomplex(f))

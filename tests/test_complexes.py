@@ -21,7 +21,6 @@ from sepcheck.catalog import (
 from sepcheck.complexes import (
     SimplicialComplex,
     Subcomplex,
-    _chains,
     _link_betti,
     barycenter_label,
     barycentric_subdivide,
@@ -470,15 +469,32 @@ def test_certificate_of_loaded_sd_three_sphere_is_fast(tmp_path):
 
 # -- barycentric subdivision against the per-chain construction --------------
 
+def _chains(k) -> list[tuple]:
+    """All nonempty chains of the face poset, memoized per top element."""
+    simplices = sorted(k.simplices, key=len)
+    ending: dict[tuple, list[tuple]] = {}
+    for s in simplices:
+        chains = [(s,)]
+        for d in range(1, len(s)):
+            for f in combinations(s, d):
+                chains.extend(c + (s,) for c in ending[f])
+        ending[s] = chains
+    return [c for chains in ending.values() for c in chains]
+
+
 def _subdivide_reference(k):
-    """Sd(k) building a fresh label string for every simplex of every chain."""
+    """Sd(k) building a fresh label string for every simplex of every chain.
+
+    It goes through the validating constructor, which sorts, checks and
+    closes every simplex again, so it does not rely on what it is compared with.
+    """
     vertex_of = {}
     sd_simplices = []
     for chain in _chains(k):
-        sd_simplices.append(tuple(sorted(barycenter_label(s) for s in chain)))
+        sd_simplices.append(tuple(barycenter_label(s) for s in chain))
         if len(chain) == 1:
             vertex_of[barycenter_label(chain[0])] = chain[0]
-    return SimplicialComplex(f"Sd({k.name})", sd_simplices, _closed=True), vertex_of
+    return SimplicialComplex(f"Sd({k.name})", sd_simplices), vertex_of
 
 
 def _assert_subdivide_matches_reference(k):
@@ -495,9 +511,58 @@ def test_subdivide_matches_per_chain_reference_on_random_complexes(k):
     _assert_subdivide_matches_reference(k)
 
 
+@st.composite
+def low_label_complexes(draw):
+    """small_complexes relabeled with labels holding characters that sort
+    before ``.``, so a barycenter can sort after the barycenters of its faces."""
+    k = draw(small_complexes())
+    labels = draw(st.permutations(["a", "a-", "a--", "a-b", "ab", "a b", "b!"]))
+    rename = dict(zip("abcdefg", labels))
+    return SimplicialComplex.from_maximal_simplices(
+        "low", [[rename[v] for v in s] for s in k.maximal_simplices()])
+
+
+@given(low_label_complexes())
+@example(SimplicialComplex.from_maximal_simplices("low", [["a", "a-", "a-b"]]))
+@settings(max_examples=100, deadline=None)
+def test_subdivide_matches_per_chain_reference_on_low_labels(k):
+    _assert_subdivide_matches_reference(k)
+
+
 def test_subdivide_matches_per_chain_reference_on_catalog():
     for k in _catalog_complexes().values():
         _assert_subdivide_matches_reference(k)
+
+
+def test_subdivide_matches_per_chain_reference_on_sd_three_sphere():
+    # Sd of this complex is the 40,256-simplex Sd² of the 3-sphere
+    sd, _ = barycentric_subdivide(cross_polytope_s3())
+    _assert_subdivide_matches_reference(sd)
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_trusted_constructor_matches_validating_constructor(k):
+    trusted = SimplicialComplex(k.name, k.simplices, _closed=True)
+    checked = SimplicialComplex(k.name, k.simplices)
+    assert trusted.simplices == checked.simplices == k.simplices
+    assert trusted.vertices == checked.vertices == tuple(sorted({v for s in k.simplices for v in s}))
+    assert trusted.dim == checked.dim == max(len(s) for s in k.simplices) - 1
+
+
+@given(st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=6),
+                min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_facet_table_lists_the_facets_of_every_simplex(maximal):
+    """Up to dimension 5, past the sizes the table unpacks by hand."""
+    k = SimplicialComplex.from_maximal_simplices("random", [sorted(s) for s in maximal])
+    index, facets = k.facet_table()
+    by_index = sorted(index, key=index.__getitem__)
+    assert len(by_index) == len(facets) and set(by_index) == k.simplices
+    for i, s in enumerate(by_index):
+        want = list(combinations(s, len(s) - 1)) if len(s) > 1 else []
+        assert [by_index[j] for j in facets[i]] == want
+        assert all(j < i for j in facets[i])
 
 
 def test_colliding_barycenter_labels_are_rejected():

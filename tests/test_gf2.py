@@ -207,6 +207,26 @@ def test_from_columns_rejects_bits_beyond_rows(case, where, past):
         BitMatrix.from_columns(rows, cols[:at] + [1 << (rows + past)] + cols[at:])
 
 
+def test_public_constructors_still_check_the_shape():
+    with pytest.raises(ValueError):
+        BitMatrix(2, 1, (0b10, 0))  # a bit beyond the declared width
+    with pytest.raises(ValueError):
+        BitMatrix(2, 1, (1,))  # one row short
+    with pytest.raises(ValueError):
+        BitMatrix.from_rows([[1, 1]], cols=1)
+    with pytest.raises(ValueError):
+        BitMatrix.from_columns(1, [1, 0b10])
+
+
+@given(bit_matrices())
+@settings(max_examples=200)
+def test_built_matrices_pass_the_public_checks(a):
+    """matmul, transpose, hstack and vstack skip the checks, which must hold anyway."""
+    for m in (a.transpose(), a.matmul(a.transpose()), a.transpose().matmul(a),
+              a.hstack(a), a.vstack(a)):
+        assert BitMatrix(m.rows, m.cols, m.data) == m
+
+
 def test_inverse_roundtrip():
     m = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     inv = inverse(m)

@@ -47,6 +47,21 @@ def test_oracle_triple_bouquet_four_components():
     assert complement_components_oracle(f.codomain, image_subcomplex(f)) == 4
 
 
+def test_oracle_count_is_kept_on_the_subcomplex(monkeypatch):
+    f, _, _ = subdivide_map(CATALOG["figure_eight_s1_s2"].map)
+    y, img = f.codomain, image_subcomplex(f)
+    reads = []
+    real_table = y.facet_table
+    monkeypatch.setattr(y, "facet_table", lambda: reads.append(1) or real_table())
+    assert complement_components_oracle(y, img) == 3
+    assert complement_components_oracle(y, img) == 3
+    assert len(reads) == 1
+    twin = Subcomplex(y, img.simplices)  # equal, but a distinct object
+    assert twin == img and twin is not img
+    assert complement_components_oracle(y, twin) == 3
+    assert len(reads) == 2
+
+
 def test_hypotheses_equator_all_true():
     hyp = check_hypotheses_thm32(CATALOG["equator_s1_s2"].map)
     assert hyp == {"h1_Y_zero": True, "A_proper": True, "Y_minus_fA_connected": True}
