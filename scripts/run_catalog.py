@@ -11,7 +11,7 @@ import os
 import sys
 
 from sepcheck.catalog import build_catalog
-from sepcheck.cli import EXIT_OK, EXIT_REFUSED, analyze_instance
+from sepcheck.cli import EXIT_OK, EXIT_REFUSED, _subdivided, analyze_instance
 
 
 def main() -> int:
@@ -26,10 +26,7 @@ def main() -> int:
 
     worst = EXIT_OK
     for cid, entry in sorted(build_catalog().items()):
-        f = entry.map
-        if args.subdivide:
-            from sepcheck.cli import _subdivided
-            f = _subdivided(f, args.subdivide)
+        f = _subdivided(entry.map, args.subdivide)
         report, code = analyze_instance(f)
         sep = report["separation"]
         if "refused" in sep:

@@ -16,19 +16,13 @@ from .catalog import CatalogEntry, build_catalog, catalog_list
 from .complexes import SimplicialComplex, barycentric_subdivide, is_certified_manifold
 from .duality import poincare_duality_check
 from .gf2 import ladder_check, random_exact_ladder
-from .maps import (
-    SimplicialMap,
-    image_subcomplex,
-    self_intersection,
-    subdivide_map,
-    validate,
-)
+from .maps import SimplicialMap, self_intersection, subdivide_map, validate
 from .obstruction import obstruction_summary
 from .separation import (
     HypothesisError,
     beta0_formula_thm32,
-    complement_components_oracle,
     eq1_identity_check,
+    image_components,
 )
 
 EXIT_OK = 0
@@ -139,8 +133,7 @@ def cmd_oracle(args) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    count = complement_components_oracle(f.codomain, image_subcomplex(f))
-    print(json.dumps({"map": f.name, "beta0_oracle": count}))
+    print(json.dumps({"map": f.name, "beta0_oracle": image_components(f)}))
     return EXIT_OK
 
 
@@ -203,8 +196,7 @@ def _catalog_checks(entry: CatalogEntry):
         if "final_refusal" in expected:
             yield "predicate_thm_final", False, obs.predicate_thm_final
     if "beta0_oracle" in expected:
-        yield ("beta0_oracle", expected["beta0_oracle"],
-               complement_components_oracle(f.codomain, image_subcomplex(f)))
+        yield "beta0_oracle", expected["beta0_oracle"], image_components(f)
 
 
 def run_selftest(seed: int = 20260823,

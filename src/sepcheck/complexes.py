@@ -221,10 +221,6 @@ class Subcomplex:
         return hash((self.parent.name, self.simplices))
 
 
-def euler_characteristic(k: SimplicialComplex) -> int:
-    return k.euler_characteristic()
-
-
 def connected_components(k) -> int:
     """Number of components of the vertex-edge graph (isolated vertices count)."""
     if isinstance(k, Subcomplex):

@@ -127,11 +127,7 @@ def poincare_dual(k: SimplicialComplex, n: int, h_coords: int, degree: int) -> C
     a = solve(mat, h_coords)
     if a is None:
         raise RuntimeError("duality system inconsistent; input is not a closed manifold")
-    cocycle = 0
-    for i, rep in enumerate(hco.representatives.vectors):
-        if (a >> i) & 1:
-            cocycle ^= rep
-    return CohomologyClass(k, n - degree, cocycle)
+    return CohomologyClass(k, n - degree, hco.vector(a))
 
 
 def poincare_duality_check(k: SimplicialComplex, n: int) -> bool:
@@ -207,11 +203,7 @@ def w1(k: SimplicialComplex, n: int) -> CohomologyClass:
         raise RuntimeError("Wu-class system inconsistent")
     if kernel_basis(m).dim != 0 and h1.dim > 0:
         raise RuntimeError("Wu-class system underdetermined beyond duality kernel")
-    cocycle = 0
-    for i, er in enumerate(h1.representatives.vectors):
-        if (v >> i) & 1:
-            cocycle ^= er
-    return CohomologyClass(k, 1, cocycle)
+    return CohomologyClass(k, 1, h1.vector(v))
 
 
 def cohomology_class_is_zero(x: CohomologyClass) -> bool:

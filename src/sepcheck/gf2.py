@@ -221,6 +221,16 @@ def rank(m: BitMatrix) -> int:
     return len(Echelon(m.data).rows)
 
 
+def exact_at(into: BitMatrix, out_of: BitMatrix) -> bool:
+    """Whether U --into--> V --out_of--> W is exact at V: im(into) = ker(out_of).
+
+    A zero matrix with 0 rows or 0 columns stands for a map to or from 0.
+    """
+    if out_of.cols != into.rows:
+        raise ValueError("maps are not composable")
+    return out_of.matmul(into).is_zero() and rank(into) + rank(out_of) == into.rows
+
+
 def solve(m: BitMatrix, b: int) -> int | None:
     """Solve m x = b; returns None when inconsistent.
 
@@ -329,18 +339,9 @@ def ladder_check(d: LadderDiagram) -> LadderCheckResult:
     )
 
     # Top row exact at B and at C (the -> 0 makes b surjective).
-    top_exact = (
-        d.top_b.matmul(d.top_a).is_zero()
-        and rank(d.top_a) == dim_b - rank(d.top_b)
-        and rank(d.top_b) == dim_c
-    )
+    top_exact = exact_at(d.top_a, d.top_b) and exact_at(d.top_b, BitMatrix.zero(0, dim_c))
     # Bottom row exact at A' and at B'.
-    bot_exact = (
-        d.bot_a.matmul(d.bot_lam).is_zero()
-        and rank(d.bot_lam) == dim_ap - rank(d.bot_a)
-        and d.bot_b.matmul(d.bot_a).is_zero()
-        and rank(d.bot_a) == dim_bp - rank(d.bot_b)
-    )
+    bot_exact = exact_at(d.bot_lam, d.bot_a) and exact_at(d.bot_a, d.bot_b)
 
     ker_h = dim_c - rank(d.vert_h)
     coker = dim_ap - rank(d.vert_f.hstack(d.bot_lam))

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .gf2 import BitMatrix, Echelon, SubspaceBasis, rank
+from .gf2 import BitMatrix, Echelon, SubspaceBasis, exact_at, rank
 from .complexes import Simplex, SimplicialComplex, Subcomplex
+from .maps import chain_map, inclusion
 
 
 class ChainComplexZ2:
@@ -89,7 +90,6 @@ class HomologyBasis:
     degree: int
     representatives: SubspaceBasis
     boundaries: SubspaceBasis
-    n_chains: int
     echelon: Echelon = field(default_factory=lambda: Echelon(track=True))
 
     @property
@@ -115,9 +115,6 @@ class HomologyBasis:
             if (coords >> i) & 1:
                 out ^= r
         return out
-
-
-CohomologyBasis = HomologyBasis  # same structure, cochain representatives
 
 
 def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBasis]:
@@ -159,14 +156,14 @@ def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBas
             basis.rows[z & -z] = z
             basis.combos[z & -z] = 1 << i
         bases[d] = HomologyBasis(d, SubspaceBasis(n, tuple(reps)),
-                                 SubspaceBasis(n, tuple(boundaries.rows.values())), n, basis)
+                                 SubspaceBasis(n, tuple(boundaries.rows.values())), basis)
         boundaries = ech
     return bases
 
 
 def _empty_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     n = c.size(max(degree, 0))
-    return HomologyBasis(degree, SubspaceBasis(n, ()), SubspaceBasis(n, ()), n)
+    return HomologyBasis(degree, SubspaceBasis(n, ()), SubspaceBasis(n, ()))
 
 
 def homology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
@@ -177,7 +174,7 @@ def homology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     return c._homology[degree]
 
 
-def cohomology_basis(c: ChainComplexZ2, degree: int) -> CohomologyBasis:
+def cohomology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     """Cocycle representatives, from the reduction of the coboundaries."""
     if degree < 0 or degree > c.dim:
         return _empty_basis(c, degree)
@@ -239,7 +236,6 @@ def induced_map_from_chain_matrix(
 
 def induced_on_homology(f, degree: int) -> InducedMap:
     """f_*: H_degree(domain) -> H_degree(codomain) for a simplicial map."""
-    from .maps import chain_map
     src = homology_basis(chain_complex(f.domain), degree)
     tgt = homology_basis(chain_complex(f.codomain), degree)
     return induced_map_from_chain_matrix(chain_map(f, degree), src, tgt)
@@ -247,21 +243,39 @@ def induced_on_homology(f, degree: int) -> InducedMap:
 
 def induced_on_cohomology(f, degree: int) -> InducedMap:
     """f^*: H^degree(codomain) -> H^degree(domain); transpose construction."""
-    from .maps import chain_map
     src = cohomology_basis(chain_complex(f.codomain), degree)
     tgt = cohomology_basis(chain_complex(f.domain), degree)
     return induced_map_from_chain_matrix(chain_map(f, degree).transpose(), src, tgt)
 
 
 # ---------------------------------------------------------------------------
-# Long exact sequence of a pair
+# Exact sequences: the connecting map and the long exact sequence of a pair
 # ---------------------------------------------------------------------------
 
-def _inclusion_chain_matrix(l: Subcomplex, k: SimplicialComplex, degree: int) -> BitMatrix:
-    lsimp = sorted(s for s in l.simplices if len(s) == degree + 1)
-    kindex = k.simplex_index(degree)
-    cols = [1 << kindex[s] for s in lsimp]
-    return BitMatrix.from_columns(len(kindex), cols)
+def connecting_map(source: HomologyBasis, lift, boundary: BitMatrix, read,
+                   target: HomologyBasis) -> BitMatrix:
+    """Connecting map from relative classes to classes on the subcomplex.
+
+    Each representative of ``source`` is lifted to an absolute chain
+    (``lift[i]`` is the absolute index of relative simplex i, None to drop
+    it), its absolute ``boundary`` is taken, and the result is read on the
+    subcomplex (``read[j]`` is the subcomplex index of face j, None outside
+    it) and expressed in ``target``.
+    """
+    cols = []
+    for z in source.representatives.vectors:
+        zk = 0
+        for i, a in enumerate(lift):
+            if (z >> i) & 1 and a is not None:
+                zk |= 1 << a
+        bz = boundary.matvec(zk)
+        zl = 0
+        for j, b in enumerate(read):
+            if (bz >> j) & 1:
+                assert b is not None, "connecting chain escapes the subcomplex"
+                zl |= 1 << b
+        cols.append(target.coordinates(zl))
+    return BitMatrix.from_columns(target.dim, cols)
 
 
 def _projection_chain_matrix(k: SimplicialComplex, rel: ChainComplexZ2, degree: int) -> BitMatrix:
@@ -277,65 +291,25 @@ def _projection_chain_matrix(k: SimplicialComplex, rel: ChainComplexZ2, degree: 
 def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:
     """Assemble the Z2 long exact sequence of (k, l) and verify exactness.
 
-    The connecting map takes a relative cycle representative, applies the
-    absolute boundary of k, and reads the result as a cycle in l.
+    The absolute boundary of a relative cycle lies in l, so the connecting
+    map is always defined.
     """
     if not k.simplices:
         return True
-    ck = chain_complex(k)
-    cl = chain_complex(l.to_complex())
+    i = inclusion(l)
+    ck, cl = chain_complex(k), chain_complex(i.domain)
     crel = relative_chain_complex(k, l)
-
-    hL = {d: homology_basis(cl, d) for d in range(k.dim + 1)}
-    hK = {d: homology_basis(ck, d) for d in range(k.dim + 1)}
-    hR = {d: homology_basis(crel, d) for d in range(k.dim + 1)}
-
-    # Sequence: 0 -> H_D(L) -> H_D(K) -> H_D(K,L) -> H_{D-1}(L) -> ... -> H_0(K,L) -> 0
-    maps = []
-    dims = []
+    # 0 -> H_D(L) -> H_D(K) -> H_D(K,L) -> H_{D-1}(L) -> ... -> H_0(K,L) -> 0
+    maps = [BitMatrix.zero(homology_basis(cl, k.dim).dim, 0)]
     for d in range(k.dim, -1, -1):
-        # i_*
-        incl = _inclusion_chain_matrix(l, k, d)
-        i_star = induced_map_from_chain_matrix(incl, hL[d], hK[d]).matrix
-        dims.append(hL[d].dim)
-        maps.append(i_star)
-        # p_*
+        i_star = induced_on_homology(i, d)
+        h_rel = homology_basis(crel, d)
         proj = _projection_chain_matrix(k, crel, d)
-        p_star = induced_map_from_chain_matrix(proj, hK[d], hR[d]).matrix
-        dims.append(hK[d].dim)
-        maps.append(p_star)
-        # connecting map
+        maps += [i_star.matrix, induced_map_from_chain_matrix(proj, i_star.target, h_rel).matrix]
         if d > 0:
-            cols = []
-            for z in hR[d].representatives.vectors:
-                # embed the relative chain into C_d(k)
-                zk = 0
-                for i, s in enumerate(crel.simplices[d]):
-                    if (z >> i) & 1:
-                        zk |= 1 << ck.index[d][s]
-                bz = ck.boundary_map(d).matvec(zk)
-                # the boundary must be supported on l
-                zl = 0
-                for i, s in enumerate(ck.simplices[d - 1]):
-                    if (bz >> i) & 1:
-                        if s not in l.simplices:
-                            return False
-                        zl |= 1 << cl.index[d - 1][s]
-                cols.append(hL[d - 1].coordinates(zl))
-            dims.append(hR[d].dim)
-            maps.append(BitMatrix.from_columns(hL[d - 1].dim, cols))
-        else:
-            dims.append(hR[d].dim)
-    # verify exactness at every interior position
-    for pos in range(len(dims)):
-        incoming = maps[pos - 1] if pos > 0 else None
-        outgoing = maps[pos] if pos < len(maps) else None
-        middle = dims[pos]
-        rk_in = rank(incoming) if incoming is not None else 0
-        rk_out = rank(outgoing) if outgoing is not None else 0
-        if incoming is not None and outgoing is not None:
-            if not outgoing.matmul(incoming).is_zero():
-                return False
-        if rk_in != middle - rk_out:
-            return False
-    return True
+            kindex, lindex = k.simplex_index(d), i.domain.simplex_index(d - 1)
+            maps.append(connecting_map(
+                h_rel, [kindex[s] for s in crel.simplices[d]], ck.boundary_map(d),
+                [lindex.get(s) for s in k.simplices_of_dim(d - 1)], homology_basis(cl, d - 1)))
+    maps.append(BitMatrix.zero(0, maps[-1].rows))
+    return all(exact_at(a, b) for a, b in zip(maps, maps[1:]))

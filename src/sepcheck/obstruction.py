@@ -9,9 +9,9 @@ theorem with its oracle cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .gf2 import BitMatrix, SubspaceBasis, kernel_basis, rank, solve
+from .gf2 import BitMatrix, SubspaceBasis, exact_at, kernel_basis, rank, solve
 from .complexes import is_certified_manifold
 from .duality import (
     CohomologyClass,
@@ -25,8 +25,8 @@ from .homology import (
     HomologyBasis,
     betti,
     chain_complex,
+    connecting_map,
     homology_basis,
-    induced_map_from_chain_matrix,
     induced_on_homology,
 )
 from .maps import (
@@ -73,20 +73,15 @@ class AffineSolutionSet:
 
 @dataclass
 class ObstructionReport:
-    Uf: CohomologyClass
-    w1f: CohomologyClass
-    theta_coords: int            # class in H_{m-1}(M), canonical basis
     theta_is_zero: bool
     theta_pushforward_zero: bool
-    mu_solutions: AffineSolutionSet
     exists_nonzero_mu: bool
-    all_mu_nonzero: bool
     predicate_thm_final: bool
     beta0_oracle: int
     dim_Hm_image: int
     A_proper: bool
-    Uf_is_zero: bool = field(default=False)
-    w1f_is_zero: bool = field(default=False)
+    Uf_is_zero: bool
+    w1f_is_zero: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,7 +128,7 @@ def w1_of_map(f: SimplicialMap) -> CohomologyClass:
 
 
 @per_map
-def theta(f: SimplicialMap) -> tuple[int, HomologyBasis]:
+def theta(f: SimplicialMap) -> int:
     """Primary obstruction (f^* U_f + w1(f)) cap [M], as H_{m-1}(M) coordinates."""
     m = _require_positive_codim1(f)
     uf = dual_class_Uf(f)
@@ -142,16 +137,20 @@ def theta(f: SimplicialMap) -> tuple[int, HomologyBasis]:
     total = CohomologyClass(f.domain, 1, pulled_uf ^ w1f.cocycle)
     fcm = fundamental_class(f.domain, m)
     z = cap(total, fcm.chain, m)
-    hm1 = homology_basis(chain_complex(f.domain), m - 1)
-    return hm1.coordinates(z), hm1
+    return homology_basis(chain_complex(f.domain), m - 1).coordinates(z)
 
 
 def theta_pushforward_check(f: SimplicialMap) -> bool:
     """f_* theta(f) vanishes; a failure here is a bug, not a finding."""
     m = _require_positive_codim1(f)
-    th, hm1 = theta(f)
-    tgt = homology_basis(chain_complex(f.codomain), m - 1)
-    return induced_map_from_chain_matrix(chain_map(f, m - 1), hm1, tgt).apply(th) == 0
+    return induced_on_homology(f, m - 1).apply(theta(f)) == 0
+
+
+def _restriction_system(f: SimplicialMap, d: int) -> tuple[BitMatrix, HomologyBasis]:
+    """j_* stacked on (f|_A)_*: H_d(A) -> H_d(M) + H_d(B), and the basis of H_d(A)."""
+    j, f_a = self_intersection_maps(f)
+    j_star = induced_on_homology(j, d)
+    return j_star.matrix.vstack(induced_on_homology(f_a, d).matrix), j_star.source
 
 
 def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutionSet:
@@ -163,20 +162,16 @@ def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutio
     _require_valid(f)
     m = f.domain.dim
     if theta_coords is None:
-        theta_coords, _ = theta(f)
+        theta_coords = theta(f)
     if self_intersection(f).A.is_empty():
         if theta_coords != 0:
             raise AssertionError("empty self-intersection with nonzero obstruction")
         return AffineSolutionSet(0, 0, SubspaceBasis(0, ()))
-    j, f_a = self_intersection_maps(f)  # A -> M, A -> B
-    j_star = induced_on_homology(j, m - 1)
-    h_b = homology_basis(chain_complex(f_a.codomain), m - 1)
-    fa_star = induced_map_from_chain_matrix(chain_map(f_a, m - 1), j_star.source, h_b)
-    system = j_star.matrix.vstack(fa_star.matrix)
+    system, h_a = _restriction_system(f, m - 1)
     particular = solve(system, theta_coords)  # rhs: theta then zeros
     if particular is None:
         raise AssertionError("obstruction localization system unsolvable")
-    return AffineSolutionSet(j_star.source.dim, particular, kernel_basis(system))
+    return AffineSolutionSet(h_a.dim, particular, kernel_basis(system))
 
 
 def cor317_check(f: SimplicialMap) -> bool:
@@ -185,17 +180,16 @@ def cor317_check(f: SimplicialMap) -> bool:
     si = self_intersection(f)
     if si.dim_A >= m - 1:
         return True
-    th, _ = theta(f)
-    assert th == 0, "low-dimensional self-intersection with nonzero obstruction"
+    assert theta(f) == 0, "low-dimensional self-intersection with nonzero obstruction"
     return True
 
 
 def mv_sequence_check(f: SimplicialMap) -> dict:
     """Ladder-extracted exact sequence in degrees m and m-1.
 
-      H_m(A) -> H_m(B) + H_m(M) -> H_m(f(M)) -> H_{m-1}(A) -> H_{m-1}(B) + H_{m-1}(M)
+      H_m(A) -> H_m(M) + H_m(B) -> H_m(f(M)) -> H_{m-1}(A) -> H_{m-1}(M) + H_{m-1}(B)
 
-    with alpha = ((f|_A)_*, i_*) and middle map j''_* + fbar_*; the
+    with alpha = (j_*, (f|_A)_*) and middle map fbar_* + j''_*; the
     connecting map factors through the chain-level excision bijection
     between relative simplices of (M, A) and (f(M), B).
     """
@@ -205,74 +199,34 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
     incl, f_a = self_intersection_maps(f)
     img_cx = image_complex(f)
     M = f.domain
-    cM = chain_complex(M)
-    cA = chain_complex(incl.domain)
     jpp = map_into(f_a.codomain, img_cx, "j''")
     fbar = SimplicialMap("fbar", M, img_cx, f.vertex_map)
 
-    def alpha_matrix(d):
-        fa_star = induced_on_homology(f_a, d)
-        return fa_star.matrix.vstack(induced_on_homology(incl, d).matrix), fa_star.source
+    alpha_m, _ = _restriction_system(f, m)
+    alpha_m1, ha_m1 = _restriction_system(f, m - 1)
+    fbar_m = induced_on_homology(fbar, m)
+    beta_m = fbar_m.matrix.hstack(induced_on_homology(jpp, m).matrix)
+    hi_m = fbar_m.target
 
-    def beta_matrix(d):
-        fbar_star = induced_on_homology(fbar, d)
-        return (induced_on_homology(jpp, d).matrix.hstack(fbar_star.matrix),
-                fbar_star.matrix, fbar_star.target)
-
-    # chain-level excision bijection on relative m-simplices
-    def connecting_matrix(hi_m, ha_m1):
-        rel_M = [s for s in M.simplices_of_dim(m) if s not in si.A.simplices]
-        rel_I_index = {}
-        for s in rel_M:
+    # chain-level excision bijection on relative m-simplices: a cycle on
+    # f(M) is projected to relative chains and pulled back to M
+    excised = {}
+    for i, s in enumerate(M.simplices_of_dim(m)):
+        if s not in si.A.simplices:
             img_s = f.image_simplex(s)
             assert len(img_s) == m + 1 and img_s not in si.B.simplices, \
                 "excision bijection violated"
-            assert img_s not in rel_I_index, "excision bijection not injective"
-            rel_I_index[img_s] = s
-        iM = M.simplex_index(m)
-        cols = []
-        for z in hi_m.representatives.vectors:
-            # project the cycle on f(M) to relative chains and pull back
-            zk = 0
-            for i, s in enumerate(img_cx.simplices_of_dim(m)):
-                if (z >> i) & 1 and s in rel_I_index:
-                    zk |= 1 << iM[rel_I_index[s]]
-            bz = cM.boundary_map(m).matvec(zk)
-            # result must be supported on A and be a cycle there
-            za = 0
-            for i, s in enumerate(M.simplices_of_dim(m - 1)):
-                if (bz >> i) & 1:
-                    assert s in si.A.simplices, "connecting chain escapes A"
-                    za |= 1 << cA.index[m - 1][s]
-            cols.append(ha_m1.coordinates(za))
-        return BitMatrix.from_columns(ha_m1.dim, cols)
+            assert img_s not in excised, "excision bijection not injective"
+            excised[img_s] = i
+    a_index = incl.domain.simplex_index(m - 1)
+    delta = connecting_map(hi_m, [excised.get(s) for s in img_cx.simplices_of_dim(m)],
+                           chain_complex(M).boundary_map(m),
+                           [a_index.get(s) for s in M.simplices_of_dim(m - 1)], ha_m1)
 
-    alpha_m, _ = alpha_matrix(m)
-    beta_m, fbar_m, hi_m = beta_matrix(m)
-    alpha_m1, ha_m1 = alpha_matrix(m - 1)
-    delta = connecting_matrix(hi_m, ha_m1)
-
-    exact = True
-    # at H_m(B) + H_m(M)
-    if not beta_m.matmul(alpha_m).is_zero():
-        exact = False
-    if rank(alpha_m) != beta_m.cols - rank(beta_m):
-        exact = False
-    # at H_m(f(M))
-    if not delta.matmul(beta_m).is_zero():
-        exact = False
-    if rank(beta_m) != hi_m.dim - rank(delta):
-        exact = False
-    # at H_{m-1}(A)
-    if not alpha_m1.matmul(delta).is_zero():
-        exact = False
-    if rank(delta) != ha_m1.dim - rank(alpha_m1):
-        exact = False
-
-    fbar_surjective = rank(fbar_m) == hi_m.dim
     return {
-        "exact": exact,
-        "fbar_surjective": fbar_surjective,
+        "exact": exact_at(alpha_m, beta_m) and exact_at(beta_m, delta)
+        and exact_at(delta, alpha_m1),
+        "fbar_surjective": rank(fbar_m.matrix) == hi_m.dim,
         "ker_alpha_dim": ha_m1.dim - rank(alpha_m1),
     }
 
@@ -298,7 +252,7 @@ def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
     m = _require_positive_codim1(f)
     uf = dual_class_Uf(f)
     w1f = w1_of_map(f)
-    th, _ = theta(f)
+    th = theta(f)
     push_ok = theta_pushforward_check(f)
     mu = mu_solve(f, th)
     a_proper = self_intersection(f).A.simplices != f.domain.simplices
@@ -309,10 +263,8 @@ def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
     if predicate:
         assert oracle >= 3, "three-components conclusion violated"
     return ObstructionReport(
-        Uf=uf, w1f=w1f, theta_coords=th, theta_is_zero=(th == 0),
-        theta_pushforward_zero=push_ok, mu_solutions=mu,
-        exists_nonzero_mu=mu.has_nonzero(), all_mu_nonzero=mu.all_nonzero(),
-        predicate_thm_final=predicate, beta0_oracle=oracle,
-        dim_Hm_image=dim_hm_image, A_proper=a_proper,
+        theta_is_zero=(th == 0), theta_pushforward_zero=push_ok,
+        exists_nonzero_mu=mu.has_nonzero(), predicate_thm_final=predicate,
+        beta0_oracle=oracle, dim_Hm_image=dim_hm_image, A_proper=a_proper,
         Uf_is_zero=cohomology_class_is_zero(uf), w1f_is_zero=w1f_zero,
     )

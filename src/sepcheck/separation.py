@@ -16,14 +16,12 @@ from .homology import (
     betti,
     chain_complex,
     cohomology_basis,
-    induced_map_from_chain_matrix,
     induced_on_cohomology,
 )
 from .maps import (
     SelfIntersectionData,
     SimplicialMap,
     _require_valid,
-    chain_map,
     image_complex,
     image_subcomplex,
     self_intersection,
@@ -170,11 +168,8 @@ def beta0_formula_thm32(f: SimplicialMap) -> SeparationReport:
     else:
         # (i^*, f|_A^*): H^{n-1}(X) + H^{n-1}(f(A)) -> H^{n-1}(A), one stacked matrix
         incl, f_a = self_intersection_maps(f)
-        i_star = induced_on_cohomology(incl, n - 1)
-        h_b = cohomology_basis(chain_complex(f_a.codomain), n - 1)
-        fa_star = induced_map_from_chain_matrix(chain_map(f_a, n - 1).transpose(),
-                                                h_b, i_star.target)
-        block = i_star.matrix.hstack(fa_star.matrix)
+        block = induced_on_cohomology(incl, n - 1).matrix.hstack(
+            induced_on_cohomology(f_a, n - 1).matrix)
         coker = block.rows - rank(block)
     formula = 2 + coker
     oracle = image_components(f)

@@ -176,7 +176,7 @@ def test_criterion_6_duality_suites():
 def test_criterion_7_obstruction_pipeline():
     for cid in CODIM1_IDS:
         f = CATALOG[cid].map
-        th, _ = theta(f)
+        th = theta(f)
         if self_intersection(f).is_embedding:
             assert th == 0, cid
         assert theta_pushforward_check(f), cid

@@ -9,6 +9,7 @@ from sepcheck.gf2 import (
     Echelon,
     LadderDiagram,
     SubspaceBasis,
+    exact_at,
     inverse,
     kernel_basis,
     ladder_check,
@@ -240,6 +241,48 @@ def test_vec_roundtrip():
     assert vec_to_bits(vec_from_bits(bits), 5) == bits
 
 
+# --- exactness ------------------------------------------------------------
+
+@st.composite
+def composable_pairs(draw, max_dim=5):
+    """(into, out_of) with into: U -> V and out_of: V -> W, dims up to max_dim.
+
+    Half the draws take ``into`` from a kernel basis of ``out_of``, padded
+    with zero columns, so exact pairs are common.
+    """
+    u, v, w = (draw(st.integers(0, max_dim)) for _ in range(3))
+    out_of = BitMatrix(w, v, tuple(draw(st.integers(0, (1 << v) - 1)) for _ in range(w)))
+    if draw(st.booleans()):
+        ker = kernel_basis(out_of).vectors
+        into = BitMatrix.from_columns(v, ker + (0,) * draw(st.integers(0, 2)))
+    else:
+        into = BitMatrix(v, u, tuple(draw(st.integers(0, (1 << u) - 1)) for _ in range(v)))
+    return into, out_of
+
+
+@given(composable_pairs())
+@example((BitMatrix.zero(0, 0), BitMatrix.zero(0, 0)))    # 0 -> 0 -> 0
+@example((BitMatrix.zero(2, 0), BitMatrix.zero(0, 2)))    # 0 -> F2^2 -> 0
+@example((BitMatrix.zero(2, 0), BitMatrix.identity(2)))   # 0 -> F2^2 --iso-->
+@example((BitMatrix.identity(2), BitMatrix.zero(0, 2)))   # --iso--> F2^2 -> 0
+@settings(max_examples=300, deadline=None)
+def test_exact_at_matches_brute_force(pair):
+    into, out_of = pair
+    image = {into.matvec(x) for x in range(1 << into.cols)}
+    kernel = {y for y in range(1 << into.rows) if out_of.matvec(y) == 0}
+    assert exact_at(into, out_of) == (image == kernel)
+
+
+@pytest.mark.parametrize("into, out_of", [
+    (BitMatrix.zero(2, 1), BitMatrix.zero(1, 3)),
+    (BitMatrix.zero(0, 1), BitMatrix.zero(1, 1)),
+    (BitMatrix.identity(2), BitMatrix.zero(0, 1)),
+])
+def test_exact_at_rejects_non_composable_maps(into, out_of):
+    with pytest.raises(ValueError):
+        exact_at(into, out_of)
+
+
 # --- ladder diagram (kernel/cokernel lemma) --------------------------------
 
 def _zero_ladder():
@@ -263,6 +306,23 @@ def test_ladder_identity_rows():
     r = ladder_check(d)
     assert r.commutes and r.rows_exact
     assert r.ker_h_dim == 0 == r.coker_fplus_lambda_dim
+
+
+A_SES = BitMatrix.from_rows([[1], [0]])   # F2 -> F2^2, first coordinate
+B_SES = BitMatrix.from_rows([[0, 1]])     # F2^2 -> F2, second coordinate
+
+
+@pytest.mark.parametrize("top_a, bot_lam, vert_f", [
+    # top row 0 -> F2^2 -> F2 -> 0 is not exact at B
+    (BitMatrix.zero(2, 1), BitMatrix.zero(1, 0), BitMatrix.zero(1, 1)),
+    # bottom row F2 -> F2 -> F2^2 has a' lambda != 0
+    (A_SES, BitMatrix.identity(1), BitMatrix.identity(1)),
+])
+def test_ladder_non_exact_row(top_a, bot_lam, vert_f):
+    d = LadderDiagram(top_a, B_SES, bot_lam, A_SES, B_SES,
+                      vert_f, BitMatrix.identity(2), BitMatrix.identity(1))
+    r = ladder_check(d)
+    assert r.commutes and not r.rows_exact
 
 
 def test_ladder_singular_g_rejected():

@@ -17,18 +17,19 @@ from sepcheck.complexes import (
     connected_components,
 )
 from sepcheck.duality import poincare_duality_check
-from sepcheck.gf2 import BitMatrix, Echelon, column_space_basis, kernel_basis
+from sepcheck.gf2 import BitMatrix, Echelon, column_space_basis, kernel_basis, rank
 from sepcheck.homology import (
     betti_numbers,
     chain_complex,
     cohomology_basis,
+    connecting_map,
     homology_basis,
     induced_on_cohomology,
     induced_on_homology,
     les_pair_check,
     relative_chain_complex,
 )
-from sepcheck.maps import SimplicialMap
+from sepcheck.maps import SimplicialMap, image_subcomplex, self_intersection, subdivide_map
 from test_complexes import small_complexes
 
 
@@ -177,6 +178,55 @@ def test_les_pair_torus_essential_circle():
 def test_les_pair_full_subcomplex():
     k = hexagon()
     assert les_pair_check(k, Subcomplex(k, k.simplices))
+
+
+def _octahedron_equator_connecting_data():
+    """H_2(K, L) -> H_1(L) data for the octahedron K and its equator L."""
+    k = octahedron()
+    equator = Subcomplex.closure(k, [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    crel = relative_chain_complex(k, equator)
+    kindex, lindex = k.simplex_index(2), equator.to_complex().simplex_index(1)
+    lift = [kindex[s] for s in crel.simplices[2]]
+    read = [lindex.get(s) for s in k.simplices_of_dim(1)]
+    h_l = homology_basis(chain_complex(equator.to_complex()), 1)
+    return homology_basis(crel, 2), lift, chain_complex(k).boundary_map(2), read, h_l
+
+
+def test_connecting_map_octahedron_equator():
+    source, lift, boundary, read, target = _octahedron_equator_connecting_data()
+    delta = connecting_map(source, lift, boundary, read, target)
+    # both hemispheres bound the equator, so H_2(K, L) = F2^2 maps onto H_1(L) = F2
+    assert (delta.rows, delta.cols) == (1, 2)
+    assert rank(delta) == 1
+
+
+def test_connecting_map_asserts_boundary_lies_in_subcomplex():
+    source, lift, boundary, read, target = _octahedron_equator_connecting_data()
+    read[read.index(0)] = None  # one equator edge read as outside L
+    with pytest.raises(AssertionError, match="escapes the subcomplex"):
+        connecting_map(source, lift, boundary, read, target)
+
+
+def _paper_pairs(level: int):
+    """(id, K, L) for (N, f(M)), (M, A) and (N, B) of every catalog map at Sd^level."""
+    out = []
+    for cid, entry in sorted(build_catalog().items()):
+        f = entry.map
+        for _ in range(level):
+            f = subdivide_map(f)[0]
+        si = self_intersection(f)
+        out += [(f"{cid}-Sd{level}-N_fM", f.codomain, image_subcomplex(f)),
+                (f"{cid}-Sd{level}-M_A", f.domain, si.A),
+                (f"{cid}-Sd{level}-N_B", f.codomain, si.B)]
+    return out
+
+
+PAPER_PAIRS = _paper_pairs(0) + _paper_pairs(1)
+
+
+@pytest.mark.parametrize("k, l", [p[1:] for p in PAPER_PAIRS], ids=[p[0] for p in PAPER_PAIRS])
+def test_les_pair_on_the_pairs_of_the_paper(k, l):
+    assert les_pair_check(k, l)
 
 
 def test_coordinates_roundtrip():

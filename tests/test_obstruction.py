@@ -53,12 +53,12 @@ def test_w1_nonzero_for_orientation_reversing_circle():
 def test_obstruction_class_vanishes_on_embeddings():
     for cid in ("equator_s1_s2", "equator_s2_s3",
                 "essential_circle_t2", "rp2_essential_circle"):
-        th, _ = theta(CATALOG[cid].map)
+        th = theta(CATALOG[cid].map)
         assert th == 0, cid
 
 
 def test_obstruction_class_vanishes_on_figure_eight():
-    th, _ = theta(CATALOG["figure_eight_s1_s2"].map)
+    th = theta(CATALOG["figure_eight_s1_s2"].map)
     assert th == 0
 
 
@@ -131,7 +131,7 @@ def test_exact_sequence_double_wrap():
 def test_nonzero_mu_with_zero_obstruction_blocks_surjectivity():
     for cid in CODIM1_IDS:
         f = CATALOG[cid].map
-        th, _ = theta(f)
+        th = theta(f)
         mu = mu_solve(f, th)
         if th == 0 and mu.has_nonzero():
             assert not mv_sequence_check(f)["fbar_surjective"], cid
