@@ -111,11 +111,7 @@ def cmd_analyze(args) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        report, code = analyze_instance(f)
-    except AssertionError as e:
-        print(f"assertion failure: {e}", file=sys.stderr)
-        return EXIT_ASSERTION
+    report, code = analyze_instance(f)
     text = json.dumps(report, ensure_ascii=False, indent=2)
     if args.json:
         with open(args.json, "w") as fh:

@@ -1,8 +1,10 @@
 """Fundamental classes, cup/cap products, duality checks, Bockstein, w1.
 
 Cochains are packed GF(2) vectors over the lex-ordered simplex basis of
-their degree.  Cup and cap use the front-face/back-face formulas in the
-global vertex order; the conventions are paired so that
+their degree.  They stay inside this module: ``cap_matrix`` is cap with [k]
+between the canonical (co)homology bases, and ``poincare_dual`` and ``w1``
+return coordinates in them.  Cup and cap use the front-face/back-face
+formulas in the global vertex order; the conventions are paired so that
 <x cup y, c> = <x, y cap c> holds on the nose.
 """
 
@@ -27,23 +29,10 @@ from .homology import (
 
 
 @dataclass
-class FundamentalClass:
-    complex: SimplicialComplex
-    degree: int
-    chain: int  # packed over the lex basis of top simplices
-
-
-@dataclass
 class CohomologyClass:
     complex: SimplicialComplex
     degree: int
     cocycle: int  # packed cochain representative
-
-    def value(self, s) -> int:
-        idx = self.complex.simplex_index(self.degree).get(tuple(sorted(s)))
-        if idx is None:
-            raise ValueError(f"{s} is not a {self.degree}-simplex")
-        return (self.cocycle >> idx) & 1
 
 
 def _coboundary(k: SimplicialComplex, degree: int) -> BitMatrix:
@@ -54,15 +43,18 @@ def is_cocycle(x: CohomologyClass) -> bool:
     return _coboundary(x.complex, x.degree).matvec(x.cocycle) == 0
 
 
-def fundamental_class(k: SimplicialComplex, n: int) -> FundamentalClass:
-    """Z2 fundamental class: the sum of all n-simplices, verified a cycle."""
+def fundamental_class(k: SimplicialComplex, n: int) -> int:
+    """Z2 fundamental class: the sum of all n-simplices, verified a cycle.
+
+    Returns the chain, packed over the lex basis of the n-simplices.
+    """
     if not is_certified_manifold(k, n):
         raise ValueError(f"{k.name} is not a certified closed {n}-manifold")
     top = k.simplices_of_dim(n)
     chain = (1 << len(top)) - 1
     bd = chain_complex(k).boundary_map(n)
     assert bd.matvec(chain) == 0, "fundamental chain is not a cycle"
-    return FundamentalClass(k, n, chain)
+    return chain
 
 
 def cup(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
@@ -108,33 +100,29 @@ def evaluate(x: CohomologyClass, chain: int) -> int:
     return dot(x.cocycle, chain)
 
 
-def _cap_matrix(k: SimplicialComplex, n: int, d: int):
+def cap_matrix(k: SimplicialComplex, n: int, d: int) -> BitMatrix:
     """Matrix of cap-with-[k]: H^{n-d} -> H_d in the canonical bases."""
     fc = fundamental_class(k, n)
     c = chain_complex(k)
-    hco = cohomology_basis(c, n - d)
     hho = homology_basis(c, d)
-    cols = []
-    for rep in hco.representatives.vectors:
-        z = cap(CohomologyClass(k, n - d, rep), fc.chain, n)
-        cols.append(hho.coordinates(z))
-    return BitMatrix.from_columns(hho.dim, cols), hco, hho
+    cols = [hho.coordinates(cap(CohomologyClass(k, n - d, rep), fc, n))
+            for rep in cohomology_basis(c, n - d).representatives.vectors]
+    return BitMatrix.from_columns(hho.dim, cols)
 
 
-def poincare_dual(k: SimplicialComplex, n: int, h_coords: int, degree: int) -> CohomologyClass:
-    """Cohomology class alpha of degree n-degree with alpha cap [k] = h."""
-    mat, hco, hho = _cap_matrix(k, n, degree)
-    a = solve(mat, h_coords)
+def poincare_dual(k: SimplicialComplex, n: int, h_coords: int, degree: int) -> int:
+    """Coordinates in H^{n-degree}(k) of the class alpha with alpha cap [k] = h."""
+    a = solve(cap_matrix(k, n, degree), h_coords)
     if a is None:
         raise RuntimeError("duality system inconsistent; input is not a closed manifold")
-    return CohomologyClass(k, n - degree, hco.vector(a))
+    return a
 
 
 def poincare_duality_check(k: SimplicialComplex, n: int) -> bool:
     """Cap with [k] is an isomorphism H^d -> H_{n-d} in every degree."""
     for d in range(n + 1):
-        mat, hco, hho = _cap_matrix(k, n, n - d)
-        if hco.dim != hho.dim or rank(mat) != hco.dim:
+        mat = cap_matrix(k, n, n - d)
+        if mat.rows != mat.cols or rank(mat) != mat.cols:
             return False
     return True
 
@@ -177,8 +165,8 @@ def sq1(x: CohomologyClass) -> CohomologyClass:
     return res
 
 
-def w1(k: SimplicialComplex, n: int) -> CohomologyClass:
-    """First Stiefel-Whitney class via the degree-1 Wu class.
+def w1(k: SimplicialComplex, n: int) -> int:
+    """First Stiefel-Whitney class via the degree-1 Wu class, as H^1(k) coordinates.
 
     v1 is the unique degree-1 class with <v1 cup x, [k]> = <Sq1 x, [k]>
     for every x in H^{n-1}; w1 = v1.
@@ -193,17 +181,17 @@ def w1(k: SimplicialComplex, n: int) -> CohomologyClass:
         xcls = CohomologyClass(k, n - 1, xr)
         row = 0
         for i, er in enumerate(h1.representatives.vectors):
-            val = evaluate(cup(CohomologyClass(k, 1, er), xcls), fc.chain)
+            val = evaluate(cup(CohomologyClass(k, 1, er), xcls), fc)
             row |= val << i
         rows.append(row)
-        rhs |= evaluate(sq1(xcls), fc.chain) << j
+        rhs |= evaluate(sq1(xcls), fc) << j
     m = BitMatrix(hn1.dim, h1.dim, tuple(rows))
     v = solve(m, rhs)
     if v is None:
         raise RuntimeError("Wu-class system inconsistent")
     if kernel_basis(m).dim != 0 and h1.dim > 0:
         raise RuntimeError("Wu-class system underdetermined beyond duality kernel")
-    return CohomologyClass(k, 1, h1.vector(v))
+    return v
 
 
 def cohomology_class_is_zero(x: CohomologyClass) -> bool:

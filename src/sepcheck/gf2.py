@@ -84,9 +84,6 @@ class BitMatrix:
                 c ^= low
         return BitMatrix._built(rows, len(cols), tuple(data))
 
-    def get(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
     def matvec(self, x: int) -> int:
         """Apply to a packed column vector; returns a packed vector of length rows."""
         out = 0

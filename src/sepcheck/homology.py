@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .gf2 import BitMatrix, Echelon, SubspaceBasis, exact_at, rank
+from .gf2 import BitMatrix, Echelon, SubspaceBasis, exact_at
 from .complexes import Simplex, SimplicialComplex, Subcomplex
 from .maps import chain_map, inclusion
 
@@ -25,8 +25,7 @@ from .maps import chain_map, inclusion
 class ChainComplexZ2:
     """Simplicial chain complex over GF(2), possibly relative to a subcomplex."""
 
-    def __init__(self, simplices_by_dim: list[list[Simplex]], label: str = ""):
-        self.label = label
+    def __init__(self, simplices_by_dim: list[list[Simplex]]):
         self.simplices = simplices_by_dim  # index d -> lex-sorted d-simplices
         self.dim = len(simplices_by_dim) - 1
         self.index = [{s: i for i, s in enumerate(row)} for row in simplices_by_dim]
@@ -64,7 +63,7 @@ def chain_complex(k: SimplicialComplex) -> ChainComplexZ2:
     if k._chain is None:
         dim = max(k.dim, 0) if k.simplices else -1
         simp = [k.simplices_of_dim(d) for d in range(dim + 1)]
-        k._chain = ChainComplexZ2(simp, label=k.name)
+        k._chain = ChainComplexZ2(simp)
     return k._chain
 
 
@@ -75,7 +74,7 @@ def relative_chain_complex(k: SimplicialComplex, l: Subcomplex) -> ChainComplexZ
         [s for s in k.simplices_of_dim(d) if s not in l.simplices]
         for d in range(k.dim + 1)
     ]
-    return ChainComplexZ2(simp, label=f"{k.name}/{l.parent.name}sub")
+    return ChainComplexZ2(simp)
 
 
 @dataclass
@@ -108,13 +107,6 @@ class HomologyBasis:
 
     def is_zero_class(self, z: int) -> bool:
         return self.coordinates(z) == 0
-
-    def vector(self, coords: int) -> int:
-        out = 0
-        for i, r in enumerate(self.representatives.vectors):
-            if (coords >> i) & 1:
-                out ^= r
-        return out
 
 
 def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBasis]:
@@ -184,19 +176,8 @@ def cohomology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
 
 
 def betti_numbers(c: ChainComplexZ2) -> dict[int, int]:
-    """Z2 Betti numbers from the ranks of the boundaries.
-
-    The dims of the cached (co)homology bases are the same numbers, but on
-    the many small link complexes of a manifold certificate the untracked
-    ranks are cheaper: reading them off the cohomology reduction made the
-    ``certify_files_sd1`` benchmark about 10% slower on a 2-vCPU host, and
-    caching those bases on the certified complexes raised its peak RSS by
-    about 6%.
-    """
-    out = {}
-    for d in range(c.dim + 1):
-        out[d] = c.size(d) - rank(c.boundary_map(d)) - rank(c.boundary_map(d + 1))
-    return out
+    """Z2 Betti numbers: the dims of the cached homology bases."""
+    return {d: homology_basis(c, d).dim for d in range(c.dim + 1)}
 
 
 def betti(k: SimplicialComplex, degree: int) -> int:

@@ -13,26 +13,19 @@ from dataclasses import dataclass
 
 from .gf2 import BitMatrix, SubspaceBasis, exact_at, kernel_basis, rank, solve
 from .complexes import is_certified_manifold
-from .duality import (
-    CohomologyClass,
-    cap,
-    cohomology_class_is_zero,
-    fundamental_class,
-    poincare_dual,
-    w1,
-)
+from .duality import cap_matrix, fundamental_class, poincare_dual, w1
 from .homology import (
     HomologyBasis,
     betti,
     chain_complex,
     connecting_map,
     homology_basis,
+    induced_on_cohomology,
     induced_on_homology,
 )
 from .maps import (
     SimplicialMap,
     _require_valid,
-    chain_map,
     image_complex,
     map_into,
     per_map,
@@ -97,47 +90,35 @@ class ObstructionReport:
 
 
 @per_map
-def dual_class_Uf(f: SimplicialMap) -> CohomologyClass:
-    """Poincare dual in the codomain of the pushed-forward fundamental class."""
+def dual_class_Uf(f: SimplicialMap) -> int:
+    """Poincare dual in the codomain of f_*[M], as H^1(codomain) coordinates."""
     m = _require_codim1_certificates(f)
-    n = f.codomain
-    fcm = fundamental_class(f.domain, m)
-    pushed = chain_map(f, m).matvec(fcm.chain)
-    cn = chain_complex(n)
-    assert cn.boundary_map(m).matvec(pushed) == 0, "image chain is not a cycle"
-    hm = homology_basis(cn, m)
-    return poincare_dual(n, m + 1, hm.coordinates(pushed), m)
+    fm = homology_basis(chain_complex(f.domain), m).coordinates(fundamental_class(f.domain, m))
+    return poincare_dual(f.codomain, m + 1, induced_on_homology(f, m).apply(fm), m)
 
 
 @per_map
-def w1_of_map(f: SimplicialMap) -> CohomologyClass:
+def w1_of_map(f: SimplicialMap) -> int:
     """Degree-1 Stiefel-Whitney class of the stable normal bundle of f.
 
-    Over Z2 this is f^* w1(codomain) + w1(domain); the dimension gap may
-    be any nonnegative integer here (identity maps are legitimate inputs).
+    Over Z2 this is f^* w1(codomain) + w1(domain), as H^1(domain)
+    coordinates; the dimension gap may be any nonnegative integer here
+    (identity maps are legitimate inputs).
     """
     _require_valid(f)
     m = f.domain.dim
     n = f.codomain.dim
     if not (is_certified_manifold(f.domain, m) and is_certified_manifold(f.codomain, n)):
         raise HypothesisError("closed_manifold_certificates")
-    w1_cod = w1(f.codomain, n)
-    w1_dom = w1(f.domain, m)
-    pulled = chain_map(f, 1).transpose().matvec(w1_cod.cocycle)
-    return CohomologyClass(f.domain, 1, pulled ^ w1_dom.cocycle)
+    return induced_on_cohomology(f, 1).apply(w1(f.codomain, n)) ^ w1(f.domain, m)
 
 
 @per_map
 def theta(f: SimplicialMap) -> int:
     """Primary obstruction (f^* U_f + w1(f)) cap [M], as H_{m-1}(M) coordinates."""
     m = _require_positive_codim1(f)
-    uf = dual_class_Uf(f)
-    w1f = w1_of_map(f)
-    pulled_uf = chain_map(f, 1).transpose().matvec(uf.cocycle)
-    total = CohomologyClass(f.domain, 1, pulled_uf ^ w1f.cocycle)
-    fcm = fundamental_class(f.domain, m)
-    z = cap(total, fcm.chain, m)
-    return homology_basis(chain_complex(f.domain), m - 1).coordinates(z)
+    total = induced_on_cohomology(f, 1).apply(dual_class_Uf(f)) ^ w1_of_map(f)
+    return cap_matrix(f.domain, m, m - 1).matvec(total)
 
 
 def theta_pushforward_check(f: SimplicialMap) -> bool:
@@ -250,15 +231,14 @@ def final_theorem_check(f: SimplicialMap) -> ObstructionReport:
 def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
     """Full pipeline without the final-theorem hypothesis gate."""
     m = _require_positive_codim1(f)
-    uf = dual_class_Uf(f)
-    w1f = w1_of_map(f)
+    uf_zero = dual_class_Uf(f) == 0
+    w1f_zero = w1_of_map(f) == 0
     th = theta(f)
     push_ok = theta_pushforward_check(f)
     mu = mu_solve(f, th)
     a_proper = self_intersection(f).A.simplices != f.domain.simplices
-    dim_hm_image = homology_basis(chain_complex(image_complex(f)), m).dim
+    dim_hm_image = betti(image_complex(f), m)
     oracle = image_components(f)
-    w1f_zero = cohomology_class_is_zero(w1f)
     predicate = a_proper and mu.has_nonzero() and w1f_zero
     if predicate:
         assert oracle >= 3, "three-components conclusion violated"
@@ -266,5 +246,5 @@ def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
         theta_is_zero=(th == 0), theta_pushforward_zero=push_ok,
         exists_nonzero_mu=mu.has_nonzero(), predicate_thm_final=predicate,
         beta0_oracle=oracle, dim_Hm_image=dim_hm_image, A_proper=a_proper,
-        Uf_is_zero=cohomology_class_is_zero(uf), w1f_is_zero=w1f_zero,
+        Uf_is_zero=uf_zero, w1f_is_zero=w1f_zero,
     )

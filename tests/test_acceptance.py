@@ -189,12 +189,12 @@ def test_criterion_7_obstruction_pipeline():
                 "csaszar_torus": cat_mod.csaszar_torus,
                 "cross_polytope_s3": cat_mod.cross_polytope_s3}
     for name, n in orientable:
-        assert cohomology_class_is_zero(w1(builders[name](), n)), name
+        assert w1(builders[name](), n) == 0, name
     rp2 = cat_mod.rp2_six_vertex()
-    assert not cohomology_class_is_zero(w1(rp2, 2))
+    assert w1(rp2, 2) != 0
     gen = cohomology_basis(chain_complex(rp2), 1).representatives.vectors[0]
     assert not cohomology_class_is_zero(sq1(CohomologyClass(rp2, 1, gen)))
-    assert not cohomology_class_is_zero(w1_of_map(CATALOG["rp2_essential_circle"].map))
+    assert w1_of_map(CATALOG["rp2_essential_circle"].map) != 0
 
     report("criterion 7: obstruction vanishing, pushforward vanishing, "
            "localization solvability, and orientation classes all exact", True)

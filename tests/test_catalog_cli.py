@@ -266,3 +266,14 @@ def test_cli_internal_error_exits_2_with_one_line(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_ASSERTION
     assert err == "internal error: KeyError: 'boom'\n"
+
+
+def test_cli_assertion_exits_2_with_one_line(monkeypatch, capsys):
+    def fail(f):
+        raise AssertionError("x")
+    monkeypatch.setattr("sepcheck.cli.analyze_instance", fail)
+    code = main(["analyze", "--entry", "equator_s1_s2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ASSERTION
+    assert captured.err == "assertion failure: x\n"
+    assert captured.out == ""

@@ -41,15 +41,15 @@ def h_generators(k, degree):
 
 def test_fundamental_class_examples():
     fc = fundamental_class(hexagon(), 1)
-    assert fc.chain == (1 << 6) - 1
+    assert fc == (1 << 6) - 1
     fc2 = fundamental_class(octahedron(), 2)
-    assert bin(fc2.chain).count("1") == 8
+    assert bin(fc2).count("1") == 8
     h2 = homology_basis(chain_complex(octahedron()), 2)
-    assert h2.dim == 1 and not h2.is_zero_class(fc2.chain)
+    assert h2.dim == 1 and not h2.is_zero_class(fc2)
     fct = fundamental_class(csaszar_torus(), 2)
-    assert bin(fct.chain).count("1") == 14
+    assert bin(fct).count("1") == 14
     ht = homology_basis(chain_complex(csaszar_torus()), 2)
-    assert not ht.is_zero_class(fct.chain)
+    assert not ht.is_zero_class(fct)
 
 
 def test_fundamental_class_refuses_non_manifold():
@@ -79,7 +79,7 @@ def test_cup_torus_intersection_form_nondegenerate():
     fc = fundamental_class(k, 2)
     gens = h_generators(k, 1)
     assert len(gens) == 2
-    vals = [[evaluate(cup(a, b), fc.chain) for b in gens] for a in gens]
+    vals = [[evaluate(cup(a, b), fc) for b in gens] for a in gens]
     # the pairing matrix must be invertible over GF(2)
     det = vals[0][0] * vals[1][1] ^ vals[0][1] * vals[1][0]
     assert det == 1
@@ -93,14 +93,14 @@ def test_cup_rejects_mismatched_complexes():
 def test_cap_unit_law():
     for k, n in MANIFOLDS:
         fc = fundamental_class(k, n)
-        assert cap(unit_class(k), fc.chain, n) == fc.chain
+        assert cap(unit_class(k), fc, n) == fc
 
 
 def test_cap_circle_duality():
     k = hexagon()
     fc = fundamental_class(k, 1)
     x = h_generators(k, 1)[0]
-    z = cap(x, fc.chain, 1)
+    z = cap(x, fc, 1)
     h0 = homology_basis(chain_complex(k), 0)
     assert not h0.is_zero_class(z)
 
@@ -125,24 +125,20 @@ def test_poincare_dual_of_fundamental_class_is_unit():
     for k, n in MANIFOLDS:
         fc = fundamental_class(k, n)
         hn = homology_basis(chain_complex(k), n)
-        res = poincare_dual(k, n, hn.coordinates(fc.chain), n)
-        assert res.degree == 0
-        diff = CohomologyClass(k, 0, res.cocycle ^ unit_class(k).cocycle)
-        assert cohomology_class_is_zero(diff)
+        res = poincare_dual(k, n, hn.coordinates(fc), n)
+        assert res == cohomology_basis(chain_complex(k), 0).coordinates(unit_class(k).cocycle)
 
 
 def test_poincare_dual_of_zero_is_zero():
     k = octahedron()
-    res = poincare_dual(k, 2, 0, 1)
-    assert cohomology_class_is_zero(res)
+    assert poincare_dual(k, 2, 0, 1) == 0
 
 
 def test_poincare_dual_of_vertex_on_circle_is_h1_generator():
     k = hexagon()
     h0 = homology_basis(chain_complex(k), 0)
     res = poincare_dual(k, 1, h0.coordinates(1), 0)
-    assert res.degree == 1
-    assert not cohomology_class_is_zero(res)
+    assert res == 1  # the generator of H^1
 
 
 def test_poincare_duality_all_catalog_manifolds():
@@ -222,10 +218,9 @@ def test_w1_orientable_manifolds_vanish():
     for k, n in MANIFOLDS:
         if k.name == "rp2":
             continue
-        assert cohomology_class_is_zero(w1(k, n)), k.name
+        assert w1(k, n) == 0, k.name
 
 
 def test_w1_projective_plane_nonzero():
     k = rp2_six_vertex()
-    cls = w1(k, 2)
-    assert not cohomology_class_is_zero(cls)
+    assert w1(k, 2) != 0

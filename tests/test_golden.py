@@ -4,7 +4,7 @@
 ``sepcheck analyze --entry <entry> --subdivide <k>`` prints, and
 ``tests/golden/selftest.txt`` the output of ``sepcheck selftest``.
 The same reports must come out when the catalog is read back from files,
-whose complexes inherit no certificate or Betti numbers.
+whose complexes inherit no certificate or Betti numbers, at every level.
 A change that moves any of these bytes changes behaviour.  The ``Sd^2``
 reports also bound the cost: the whole catalog at ``Sd^2`` runs in seconds.
 """
@@ -34,7 +34,7 @@ def test_analyze_report_matches_golden(capsys, entry, k):
     assert capsys.readouterr().out == (GOLDEN / f"{entry}.sd{k}.json").read_text()
 
 
-@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_analyze_report_from_files_matches_golden(capsys, tmp_path, entry, k):
     code = main(["analyze", "--entry", entry, "--subdivide", str(k)])

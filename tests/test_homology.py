@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepcheck.catalog import (
     build_catalog,
@@ -229,12 +230,21 @@ def test_les_pair_on_the_pairs_of_the_paper(k, l):
     assert les_pair_check(k, l)
 
 
+def basis_vector(basis, coords):
+    """The sum of the representatives picked by coords."""
+    out = 0
+    for i, r in enumerate(basis.representatives.vectors):
+        if (coords >> i) & 1:
+            out ^= r
+    return out
+
+
 def test_coordinates_roundtrip():
     c = chain_complex(csaszar_torus())
     h1 = homology_basis(c, 1)
     assert h1.dim == 2
     for coords in range(1, 4):
-        z = h1.vector(coords)
+        z = basis_vector(h1, coords)
         assert h1.coordinates(z) == coords
         assert not h1.is_zero_class(z)
     # a boundary is the zero class
@@ -295,6 +305,28 @@ def test_clearing_bases_match_quotient_reference(k):
         for cohomology in (False, True):
             dim = _assert_basis_is_sound(c, d, cohomology)
             assert dim == _reference_dims(c, d, cohomology) == betti[d]
+
+
+def _betti_by_ranks(c):
+    """dim C_d - rank d_d - rank d_{d+1}: the Betti numbers without a basis."""
+    return {d: c.size(d) - rank(c.boundary_map(d)) - rank(c.boundary_map(d + 1))
+            for d in range(c.dim + 1)}
+
+
+@st.composite
+def small_pairs(draw):
+    """A small complex K and the closure L of up to 4 of its simplices."""
+    k = draw(small_complexes())
+    return k, Subcomplex.closure(k, draw(st.lists(st.sampled_from(sorted(k.simplices)),
+                                                  max_size=4)))
+
+
+@given(small_pairs())
+@settings(max_examples=150, deadline=None)
+def test_betti_numbers_equal_the_rank_formula(pair):
+    k, l = pair
+    for c in (chain_complex(k), relative_chain_complex(k, l)):
+        assert betti_numbers(c) == _betti_by_ranks(c)
 
 
 def test_clearing_bases_on_relative_complexes():

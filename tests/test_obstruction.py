@@ -1,10 +1,11 @@
 import pytest
 
 from sepcheck.catalog import build_catalog
-from sepcheck.complexes import SimplicialComplex
-from sepcheck.duality import cohomology_class_is_zero
+from sepcheck.complexes import SimplicialComplex, is_certified_manifold
+from sepcheck.duality import CohomologyClass, cap, cap_matrix, fundamental_class, w1
 from sepcheck.gf2 import SubspaceBasis
-from sepcheck.maps import SimplicialMap, image_subcomplex
+from sepcheck.homology import chain_complex, cohomology_basis, homology_basis
+from sepcheck.maps import SimplicialMap, chain_map, image_subcomplex, subdivide_map
 from sepcheck.obstruction import (
     AffineSolutionSet,
     cor317_check,
@@ -18,6 +19,8 @@ from sepcheck.obstruction import (
     w1_of_map,
 )
 from sepcheck.separation import HypothesisError, complement_components_oracle
+from test_homology import basis_vector
+from test_vertex_choice_maps import COMPOSED, compose, vertex_choice_map
 
 CATALOG = build_catalog()
 
@@ -29,25 +32,25 @@ CODIM1_IDS = ("equator_s1_s2", "equator_s2_s3", "figure_eight_s1_s2",
 
 def test_dual_class_vanishes_when_target_h1_is_zero():
     for cid in ("equator_s1_s2", "figure_eight_s1_s2"):
-        assert cohomology_class_is_zero(dual_class_Uf(CATALOG[cid].map)), cid
+        assert dual_class_Uf(CATALOG[cid].map) == 0, cid
 
 
 def test_dual_class_of_essential_circle_nonzero():
-    assert not cohomology_class_is_zero(dual_class_Uf(CATALOG["essential_circle_t2"].map))
+    assert dual_class_Uf(CATALOG["essential_circle_t2"].map) != 0
 
 
 def test_w1_vanishes_between_orientable_manifolds():
     for cid in ("equator_s1_s2", "equator_s2_s3",
                 "figure_eight_s1_s2", "essential_circle_t2"):
-        assert cohomology_class_is_zero(w1_of_map(CATALOG[cid].map)), cid
+        assert w1_of_map(CATALOG[cid].map) == 0, cid
 
 
 def test_w1_self_cancels_on_identity_of_projective_plane():
-    assert cohomology_class_is_zero(w1_of_map(CATALOG["rp2_identity"].map))
+    assert w1_of_map(CATALOG["rp2_identity"].map) == 0
 
 
 def test_w1_nonzero_for_orientation_reversing_circle():
-    assert not cohomology_class_is_zero(w1_of_map(CATALOG["rp2_essential_circle"].map))
+    assert w1_of_map(CATALOG["rp2_essential_circle"].map) != 0
 
 
 def test_obstruction_class_vanishes_on_embeddings():
@@ -200,3 +203,75 @@ def test_refusal_is_raised_again_not_stored():
         with pytest.raises(HypothesisError) as exc:
             theta(f)
         assert exc.value.hypothesis == "domain_dim_positive"
+
+
+# ---------------------------------------------------------------------------
+# U_f, w1(f) and theta against their cochain-level construction
+# ---------------------------------------------------------------------------
+
+def _cocycle(k, degree, coords):
+    return basis_vector(cohomology_basis(chain_complex(k), degree), coords)
+
+
+def _assert_classes_match_cochain_reference(f):
+    """Pull cocycles back through the transposed chain map and cap with [M].
+
+    U_f is checked by capping its cocycle with [N], which must give the
+    class of the pushed fundamental chain of M.
+    """
+    m, n = f.domain.dim, f.codomain.dim
+    if not (is_certified_manifold(f.domain, m) and is_certified_manifold(f.codomain, n)):
+        return
+    pull = chain_map(f, 1).transpose()
+    w1f = (pull.matvec(_cocycle(f.codomain, 1, w1(f.codomain, n)))
+           ^ _cocycle(f.domain, 1, w1(f.domain, m)))
+    assert cohomology_basis(chain_complex(f.domain), 1).coordinates(w1f) == w1_of_map(f)
+    if n != m + 1 or m < 1:
+        return
+    pushed = chain_map(f, m).matvec(fundamental_class(f.domain, m))
+    assert chain_complex(f.codomain).boundary_map(m).matvec(pushed) == 0
+    uf = _cocycle(f.codomain, 1, dual_class_Uf(f))
+    hm = homology_basis(chain_complex(f.codomain), m)
+    dual = cap(CohomologyClass(f.codomain, 1, uf), fundamental_class(f.codomain, n), n)
+    assert hm.coordinates(dual) == hm.coordinates(pushed)
+    z = cap(CohomologyClass(f.domain, 1, pull.matvec(uf) ^ w1f),
+            fundamental_class(f.domain, m), m)
+    assert homology_basis(chain_complex(f.domain), m - 1).coordinates(z) == theta(f)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_classes_match_cochain_reference_on_the_catalog(cid, k):
+    f = CATALOG[cid].map
+    for _ in range(k):
+        f = subdivide_map(f)[0]
+    _assert_classes_match_cochain_reference(f)
+
+
+@pytest.mark.parametrize("cid", COMPOSED)
+def test_classes_match_cochain_reference_on_vertex_choice_composites(cid):
+    f = CATALOG[cid].map
+    for seed in range(2):
+        _assert_classes_match_cochain_reference(compose(f, vertex_choice_map(f.domain, seed)))
+
+
+def test_cap_matrix_columns_are_caps_of_h1_representatives():
+    """theta is 0 on every catalog map, so check the cap matrix column by column.
+
+    Codomains are included: no catalog domain has H^1 of dimension above 1.
+    """
+    complexes = {k.name: k for e in CATALOG.values() for k in e.complexes.values()}
+    checked = 0
+    for k in complexes.values():
+        m = k.dim
+        if m < 1 or not is_certified_manifold(k, m):
+            continue
+        mat = cap_matrix(k, m, m - 1)
+        fc = fundamental_class(k, m)
+        h = homology_basis(chain_complex(k), m - 1)
+        reps = cohomology_basis(chain_complex(k), 1).representatives.vectors
+        assert (mat.rows, mat.cols) == (h.dim, len(reps))
+        for i, rep in enumerate(reps):
+            assert mat.matvec(1 << i) == h.coordinates(cap(CohomologyClass(k, 1, rep), fc, m))
+            checked += 1
+    assert checked
