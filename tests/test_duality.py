@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sepcheck import duality
 from sepcheck.catalog import (
     cross_polytope_s3,
     csaszar_torus,
@@ -50,6 +51,13 @@ def test_fundamental_class_examples():
     assert bin(fct).count("1") == 14
     ht = homology_basis(chain_complex(csaszar_torus()), 2)
     assert not ht.is_zero_class(fct)
+
+
+def test_fundamental_class_is_kept_on_its_complex(monkeypatch):
+    k = octahedron()
+    fc = fundamental_class(k, 2)
+    monkeypatch.setattr(duality, "chain_complex", lambda k: pytest.fail("checked again"))
+    assert fundamental_class(k, 2) == fc
 
 
 def test_fundamental_class_refuses_non_manifold():

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from sepcheck import complexes, duality, separation
+from sepcheck import complexes, duality, homology, separation
 from sepcheck.catalog import build_catalog, octahedron, square_circle
 from sepcheck.cli import EXIT_REFUSED, analyze_instance
 from sepcheck.complexes import SimplicialComplex, barycentric_subdivide
@@ -58,16 +58,17 @@ def test_analyze_builds_each_fact_of_the_map_once(monkeypatch):
     oracle = _count_calls(monkeypatch, separation, "complement_components_oracle")
     duals = _count_calls(monkeypatch, duality, "poincare_dual")
     w1s = _count_calls(monkeypatch, duality, "w1")
+    pullbacks = _count_calls(monkeypatch, homology, "induced_on_cohomology")
     # The oracle keeps its count on the subcomplex, so it may be called again
-    # on one; only a count that runs reads the codomain's facet table.
-    tables = []
-    real_table = f.codomain.facet_table
-    monkeypatch.setattr(f.codomain, "facet_table", lambda: tables.append(1) or real_table())
+    # on one; only the first call on each runs the count.
+    counts = _count_calls(monkeypatch, separation, "_complement_components")
     analyze_instance(f)
-    assert {id(sub) for _, sub in oracle} == {id(image_subcomplex(f)), id(self_intersection(f).B)}
-    assert len(tables) == 2  # one count on each
+    img, b = image_subcomplex(f), self_intersection(f).B
+    assert {id(sub) for _, sub in oracle} == {id(img), id(b)}
+    assert sorted(id(simps) for _, simps in counts) == sorted([id(img.simplices), id(b.simplices)])
     assert len(duals) == 1
     assert len(w1s) == 2  # one for the codomain, one for the domain
+    assert [d for g, d in pullbacks if g is f] == [1]  # f^* on H^1, for w1(f) and theta
 
 
 def test_analyze_certifies_each_complex_once(monkeypatch):

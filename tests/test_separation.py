@@ -21,7 +21,7 @@ from sepcheck.separation import (
     jordan_brouwer_check,
     prop34_check,
 )
-from test_complexes import small_complexes
+from test_complexes import facet_table, small_complexes
 
 CATALOG = build_catalog()
 
@@ -48,11 +48,13 @@ def test_oracle_triple_bouquet_four_components():
 
 
 def test_oracle_count_is_kept_on_the_subcomplex(monkeypatch):
+    from sepcheck import separation
     f, _, _ = subdivide_map(CATALOG["figure_eight_s1_s2"].map)
     y, img = f.codomain, image_subcomplex(f)
     reads = []
-    real_table = y.facet_table
-    monkeypatch.setattr(y, "facet_table", lambda: reads.append(1) or real_table())
+    real_count = separation._complement_components
+    monkeypatch.setattr(separation, "_complement_components",
+                        lambda *args: reads.append(1) or real_count(*args))
     assert complement_components_oracle(y, img) == 3
     assert complement_components_oracle(y, img) == 3
     assert len(reads) == 1
@@ -234,6 +236,35 @@ def test_formula_agreement_survives_subdivision():
         assert rep.beta0_formula == CATALOG[cid].expected["beta0_formula"]
 
 
+def _oracle_reference(y, sub):
+    """Union-find over the face poset, joining each outside simplex to its outside facets.
+
+    The outside simplices are closed upwards, so for outside s < t every
+    simplex between them is outside and a chain of facets leads from t to s.
+    """
+    index, facets = facet_table(y)
+    excluded = bytearray(len(facets))
+    for s in sub.simplices:
+        excluded[index[s]] = 1
+    parent = list(range(len(facets)))
+    # Facets come first in the table, so simplex i is still a singleton when
+    # its turn comes and stays the root of everything joined to it; each
+    # outside simplex adds a component and each union removes one.
+    count = 0
+    for i, faces in enumerate(facets):
+        if excluded[i]:
+            continue
+        count += 1
+        for j in faces:
+            if not excluded[j]:
+                while parent[j] != j:  # path halving
+                    parent[j] = j = parent[parent[j]]
+                if j != i:
+                    parent[j] = i
+                    count -= 1
+    return count
+
+
 def _oracle_all_faces_reference(y, sub):
     """Union-find joining each outside simplex to every outside proper face."""
     nodes = [s for s in y.simplices if s not in sub.simplices]
@@ -257,13 +288,14 @@ def _oracle_all_faces_reference(y, sub):
 
 def _assert_oracle_matches_references(y, sub):
     got = complement_components_oracle(y, sub)
+    assert got == _oracle_reference(y, sub)
     assert got == _oracle_all_faces_reference(y, sub)
     assert got == connected_components(complementary_complex(y, sub))
 
 
 @st.composite
 def complexes_with_subcomplex(draw):
-    k = draw(small_complexes())
+    k = draw(small_complexes(max_dim=4))
     chosen = draw(st.sets(st.sampled_from(sorted(k.simplices))))
     return k, Subcomplex.closure(k, chosen)
 
@@ -281,7 +313,28 @@ def test_oracle_matches_references_on_catalog_at_sd1():
             _assert_oracle_matches_references(g.codomain, sub)
 
 
-def test_oracle_cached_table_is_independent_of_the_subcomplex():
+def test_oracle_matches_reference_on_catalog_at_sd0_to_sd2():
+    for cid, entry in sorted(CATALOG.items()):
+        g = entry.map
+        for level in range(3):
+            if level:
+                g, _, _ = subdivide_map(g)
+            for sub in (image_subcomplex(g), self_intersection(g).B):
+                assert complement_components_oracle(g.codomain, sub) \
+                    == _oracle_reference(g.codomain, sub), (cid, level)
+
+
+def test_oracle_counts_through_spanning_simplices():
+    """Subcomplexes that are not full, so outside simplices span inside vertices."""
+    tet = SimplicialComplex.from_maximal_simplices("tet", [["a", "b", "c", "d"]])
+    hollow = Subcomplex.closure(tet, [("a", "b"), ("b", "c"), ("a", "c")])
+    assert complement_components_oracle(tet, hollow) == 1  # abc joins d through abcd
+    tri = SimplicialComplex.from_maximal_simplices("tri", [["a", "b", "c"]])
+    corners = Subcomplex.closure(tri, [("a",), ("b",), ("c",)])
+    assert complement_components_oracle(tri, corners) == 1  # ab, bc, ac join through abc
+
+
+def test_oracle_counts_each_subcomplex_of_one_complex():
     k = octahedron()
     equator = Subcomplex.closure(k, [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
     disk = Subcomplex.closure(k, [("a", "b", "n")])
