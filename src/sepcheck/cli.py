@@ -2,7 +2,7 @@
 duality checks, and the deterministic selftest.
 
 Exit codes: 0 all checks pass, 1 hypothesis refusal, 2 assertion,
-selftest failure or internal error, 3 input error.
+selftest failure or internal error, 3 input error, usage errors included.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ EXIT_INPUT = 3
 
 
 def _load_instance(args) -> SimplicialMap:
-    if getattr(args, "entry", None):
+    if args.entry:
         cat = build_catalog()
         if args.entry not in cat:
             raise ValueError(f"unknown catalog entry {args.entry!r}")
@@ -248,43 +248,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_files=True):
-        if with_files:
-            sp.add_argument("--entry", help="built-in catalog entry id")
-            sp.add_argument("--complex", action="append",
-                            help="complex JSON file (repeatable)")
-            sp.add_argument("--map", help="map JSON file")
+    def inputs(sp):
+        sp.add_argument("--entry", help="built-in catalog entry id")
+        sp.add_argument("--complex", action="append",
+                        help="complex JSON file (repeatable)")
+        sp.add_argument("--map", help="map JSON file")
         sp.add_argument("--subdivide", type=int, default=0, metavar="K",
                         help="apply K barycentric subdivisions before analysis")
-        sp.add_argument("--json", help="also write the JSON report to this path")
-        sp.add_argument("--seed", type=int, default=20260823,
-                        help="seed for randomized property suites")
 
     sp = sub.add_parser("catalog", help="list built-in instances")
     sp.add_argument("--dump", help="write catalog complexes and maps to a directory")
     sp.set_defaults(func=cmd_catalog)
 
     sp = sub.add_parser("analyze", help="run the full separation/obstruction analysis")
-    common(sp)
+    inputs(sp)
+    sp.add_argument("--json", help="also write the JSON report to this path")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("oracle", help="count complement components directly")
-    common(sp)
+    inputs(sp)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("duality-check", help="Poincare duality checks on manifolds")
-    common(sp)
+    inputs(sp)
     sp.set_defaults(func=cmd_duality_check)
 
     sp = sub.add_parser("selftest", help="run the full invariant suite on the catalog")
-    common(sp, with_files=False)
+    sp.add_argument("--seed", type=int, default=20260823,
+                    help="seed for randomized property suites")
     sp.set_defaults(func=cmd_selftest)
 
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, which is an input error
+        return EXIT_INPUT if e.code else EXIT_OK
     try:
         return args.func(args)
     except AssertionError as e:

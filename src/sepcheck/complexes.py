@@ -7,6 +7,7 @@ closed under taking faces.  Complexes are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import defaultdict
 from itertools import chain, combinations
@@ -14,6 +15,23 @@ from itertools import chain, combinations
 from .gf2 import Echelon
 
 Simplex = tuple[str, ...]
+
+
+def memo(fn):
+    """Compute ``fn(x, *args)`` once per object and keep it in ``x._memo``.
+
+    The key is ``(fn, *args)``, so every derived fact of an immutable
+    object lives in one place.  A raise is not stored, so a refused check
+    raises again, with the same hypothesis name, on every call.  Memoize
+    nothing whose result a caller mutates.
+    """
+    @functools.wraps(fn)
+    def memoized(x, *args):
+        key = (fn, *args)
+        if key not in x._memo:
+            x._memo[key] = fn(x, *args)
+        return x._memo[key]
+    return memoized
 
 
 class SimplicialComplex:
@@ -43,48 +61,44 @@ class SimplicialComplex:
         self.simplices: frozenset[Simplex] = simps
         self.vertices: tuple[str, ...] = tuple(sorted(s[0] for s in simplices if len(s) == 1))
         self.dim = max(map(len, simplices), default=0) - 1
-        self._by_dim: dict[int, list[Simplex]] = {}
-        self._index: dict[int, dict[Simplex, int]] = {}
-        self._star: dict[str, list[Simplex]] | None = None
-        self._chain = None  # homology.ChainComplexZ2, built by chain_complex on first use
-        self._fundamental: dict[int, int] = {}  # duality.fundamental_class, by dimension
+        self._memo = {}  # facts kept by ``memo``; a subdivision starts empty
         # Facts inherited through barycentric subdivision (both are
         # subdivision invariants): certified closed-manifold dimensions
         # and Z2 Betti numbers.
         self._manifold_dims: set[int] = set()
         self._betti: dict[int, int] = {}
-        # Dimensions whose certificate failed; kept, not inherited.
-        self._non_manifold_dims: set[int] = set()
 
     @staticmethod
     def from_maximal_simplices(name: str, maximal) -> "SimplicialComplex":
         return SimplicialComplex(name, [tuple(s) for s in maximal])
 
+    @memo
     def simplices_of_dim(self, d: int) -> list[Simplex]:
         """Lex-sorted list of d-simplices (canonical basis order)."""
-        if d not in self._by_dim:
-            self._by_dim[d] = sorted(s for s in self.simplices if len(s) == d + 1)
-        return self._by_dim[d]
+        return sorted(s for s in self.simplices if len(s) == d + 1)
 
+    @memo
     def simplex_index(self, d: int) -> dict[Simplex, int]:
-        if d not in self._index:
-            self._index[d] = {s: i for i, s in enumerate(self.simplices_of_dim(d))}
-        return self._index[d]
+        return {s: i for i, s in enumerate(self.simplices_of_dim(d))}
+
+    @memo
+    def _stars(self) -> dict[str, list[Simplex]]:
+        """Vertex -> the simplices that contain it."""
+        star: dict[str, list[Simplex]] = {v: [] for v in self.vertices}
+        for t in self.simplices:
+            for v in t:
+                star[v].append(t)
+        return star
 
     def _cofaces(self, s: Simplex):
         """Simplices strictly containing the simplex ``s`` of this complex.
 
         Scans the star of the vertex of ``s`` that lies in the fewest
-        simplices, through a per-vertex star index built on first use.
+        simplices, through the per-vertex star index.
         """
-        if self._star is None:
-            star: dict[str, list[Simplex]] = {v: [] for v in self.vertices}
-            for t in self.simplices:
-                for v in t:
-                    star[v].append(t)
-            self._star = star
+        stars = self._stars()
         sset = set(s)
-        for t in min((self._star[v] for v in s), key=len):
+        for t in min((stars[v] for v in s), key=len):
             if len(t) > len(s) and sset.issubset(t):
                 yield t
 
@@ -161,8 +175,7 @@ class Subcomplex:
         self.parent = parent
         self.simplices = simps
         self.dim = max((len(s) - 1 for s in simps), default=-1)
-        # separation.complement_components_oracle, counted on first use
-        self._components: int | None = None
+        self._memo = {}
 
     @staticmethod
     def closure(parent: SimplicialComplex, simplices) -> "Subcomplex":
@@ -201,20 +214,19 @@ def connected_components(k) -> int:
     return _count_components(verts, edges)
 
 
-def _count_components(verts, edges) -> int:
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in verts})
+def _count_components(nodes, links) -> int:
+    """Components of the graph on ``nodes`` with edges ``links``, by union-find."""
+    parent = {v: v for v in nodes}
+    count = len(parent)
+    for a, b in links:
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
 
 
 def barycenter_label(s: Simplex) -> str:
@@ -318,13 +330,12 @@ def manifold_certificate(k: SimplicialComplex, n: int):
     and 3) are tabulated in one pass over the top three skeleta and read by
     ``_link_betti``: a component count and one GF(2) rank.  Only links of
     dimension 3 and more, which no closed 3-manifold has, get a link
-    complex and a chain complex.  Both verdicts are kept on k for
-    ``is_certified_manifold``.
+    complex and a chain complex.  A pass is kept on k, and inherited by
+    its subdivisions.
     """
     from .homology import chain_complex, betti_numbers
 
     if k.dim != n or not k.simplices:
-        k._non_manifold_dims.add(n)
         return {"is_closed_z2_homology_n_manifold": False,
                 "failures": sorted(k.simplices, key=lambda s: (len(s), s))[:1]}
 
@@ -360,15 +371,13 @@ def manifold_certificate(k: SimplicialComplex, n: int):
             if not ok:
                 failures.append(s)
 
-    ok = not failures
-    (k._manifold_dims if ok else k._non_manifold_dims).add(n)
-    return {"is_closed_z2_homology_n_manifold": ok, "failures": failures}
+    if not failures:
+        k._manifold_dims.add(n)
+    return {"is_closed_z2_homology_n_manifold": not failures, "failures": failures}
 
 
+@memo
 def is_certified_manifold(k: SimplicialComplex, n: int) -> bool:
     """Certificate, computed once per (k, n); subdivisions inherit a pass only."""
-    if n in k._manifold_dims:
-        return True
-    if n in k._non_manifold_dims:
-        return False
-    return manifold_certificate(k, n)["is_closed_z2_homology_n_manifold"]
+    return (n in k._manifold_dims
+            or manifold_certificate(k, n)["is_closed_z2_homology_n_manifold"])

@@ -18,6 +18,7 @@ from .complexes import (
     Subcomplex,
     complementary_complex,
     is_certified_manifold,
+    memo,
 )
 from .homology import (
     chain_complex,
@@ -43,20 +44,19 @@ def is_cocycle(x: CohomologyClass) -> bool:
     return _coboundary(x.complex, x.degree).matvec(x.cocycle) == 0
 
 
+@memo
 def fundamental_class(k: SimplicialComplex, n: int) -> int:
     """Z2 fundamental class: the sum of all n-simplices, verified a cycle.
 
     Returns the chain, packed over the lex basis of the n-simplices, and
     keeps it on k, so the check runs once per complex and dimension.
     """
-    if n not in k._fundamental:
-        if not is_certified_manifold(k, n):
-            raise ValueError(f"{k.name} is not a certified closed {n}-manifold")
-        chain = (1 << len(k.simplices_of_dim(n))) - 1
-        assert chain_complex(k).boundary_map(n).matvec(chain) == 0, \
-            "fundamental chain is not a cycle"
-        k._fundamental[n] = chain
-    return k._fundamental[n]
+    if not is_certified_manifold(k, n):
+        raise ValueError(f"{k.name} is not a certified closed {n}-manifold")
+    chain = (1 << len(k.simplices_of_dim(n))) - 1
+    assert chain_complex(k).boundary_map(n).matvec(chain) == 0, \
+        "fundamental chain is not a cycle"
+    return chain
 
 
 def cup(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:

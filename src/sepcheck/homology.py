@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .gf2 import BitMatrix, Echelon, SubspaceBasis, exact_at
-from .complexes import Simplex, SimplicialComplex, Subcomplex
+from .complexes import Simplex, SimplicialComplex, Subcomplex, memo
 from .maps import chain_map, inclusion
 
 
@@ -42,9 +42,7 @@ class ChainComplexZ2:
             self.boundary.append(BitMatrix.from_columns(self.size(d - 1), cols))
         for d in range(1, self.dim):
             assert self.boundary[d].matmul(self.boundary[d + 1]).is_zero(), "dd != 0"
-        # (co)homology bases of every degree, filled by the first basis call
-        self._homology: list[HomologyBasis] | None = None
-        self._cohomology: list[HomologyBasis] | None = None
+        self._memo = {}
 
     def size(self, d: int) -> int:
         return len(self.simplices[d]) if 0 <= d <= self.dim else 0
@@ -58,13 +56,11 @@ class ChainComplexZ2:
         return BitMatrix.zero(self.size(d - 1), self.size(d))
 
 
+@memo
 def chain_complex(k: SimplicialComplex) -> ChainComplexZ2:
     """The chain complex of k, built on first use and cached on k."""
-    if k._chain is None:
-        dim = max(k.dim, 0) if k.simplices else -1
-        simp = [k.simplices_of_dim(d) for d in range(dim + 1)]
-        k._chain = ChainComplexZ2(simp)
-    return k._chain
+    dim = max(k.dim, 0) if k.simplices else -1
+    return ChainComplexZ2([k.simplices_of_dim(d) for d in range(dim + 1)])
 
 
 def relative_chain_complex(k: SimplicialComplex, l: Subcomplex) -> ChainComplexZ2:
@@ -109,6 +105,7 @@ class HomologyBasis:
         return self.coordinates(z) == 0
 
 
+@memo
 def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBasis]:
     """(Co)homology bases of every degree from one reduction with clearing.
 
@@ -161,18 +158,14 @@ def _empty_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
 def homology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     if degree < 0 or degree > c.dim:
         return _empty_basis(c, degree)
-    if c._homology is None:
-        c._homology = _clearing_reduction(c, cohomology=False)
-    return c._homology[degree]
+    return _clearing_reduction(c, False)[degree]
 
 
 def cohomology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     """Cocycle representatives, from the reduction of the coboundaries."""
     if degree < 0 or degree > c.dim:
         return _empty_basis(c, degree)
-    if c._cohomology is None:
-        c._cohomology = _clearing_reduction(c, cohomology=True)
-    return c._cohomology[degree]
+    return _clearing_reduction(c, True)[degree]
 
 
 def betti_numbers(c: ChainComplexZ2) -> dict[int, int]:

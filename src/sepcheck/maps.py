@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -11,6 +10,7 @@ from .complexes import (
     SimplicialComplex,
     Subcomplex,
     barycentric_subdivide,
+    memo,
 )
 
 
@@ -18,8 +18,7 @@ class SimplicialMap:
     """Vertex assignment between complexes sending simplices to simplices.
 
     Maps are immutable after construction, like complexes, so the facts
-    derived from one are computed once and kept in ``_memo`` (see
-    ``per_map``).
+    derived from one are computed once and kept on it (``complexes.memo``).
     """
 
     def __init__(self, name: str, domain: SimplicialComplex,
@@ -31,7 +30,7 @@ class SimplicialMap:
         missing = set(domain.vertices) - set(self.vertex_map)
         if missing:
             raise ValueError(f"vertex map not total; missing {sorted(missing)}")
-        self._memo: dict = {}  # per_map function -> its value on this map
+        self._memo = {}
 
     def image_simplex(self, s) -> tuple[str, ...]:
         return tuple(sorted({self.vertex_map[v] for v in s}))
@@ -77,21 +76,7 @@ class SimplicialMap:
             fh.write("\n")
 
 
-def per_map(fn):
-    """Compute ``fn(f)`` once per map and keep it in ``f._memo``.
-
-    A raise is not stored, so a refused check raises again, with the same
-    hypothesis name, on every call.
-    """
-    @functools.wraps(fn)
-    def memoized(f: SimplicialMap):
-        if fn not in f._memo:
-            f._memo[fn] = fn(f)
-        return f._memo[fn]
-    return memoized
-
-
-@per_map
+@memo
 def validate(f: SimplicialMap) -> bool:
     """True iff every domain simplex maps to a codomain simplex."""
     return all(f.image_simplex(s) in f.codomain.simplices
@@ -103,13 +88,13 @@ def _require_valid(f: SimplicialMap) -> None:
         raise ValueError(f"{f.name} is not a simplicial map")
 
 
-@per_map
+@memo
 def image_subcomplex(f: SimplicialMap) -> Subcomplex:
     _require_valid(f)
     return Subcomplex(f.codomain, {f.image_simplex(s) for s in f.domain.simplices})
 
 
-@per_map
+@memo
 def image_complex(f: SimplicialMap) -> SimplicialComplex:
     """The image f(M) as a complex of its own."""
     return image_subcomplex(f).to_complex("f(M)")
@@ -139,7 +124,7 @@ class SelfIntersectionData:
         return self.A.dim
 
 
-@per_map
+@memo
 def self_intersection(f: SimplicialMap) -> SelfIntersectionData:
     """Closure of {x : f^{-1}f(x) != x} as a subcomplex of the domain.
 
@@ -167,7 +152,7 @@ def self_intersection(f: SimplicialMap) -> SelfIntersectionData:
     return SelfIntersectionData(a, b, is_embedding=a.is_empty())
 
 
-@per_map
+@memo
 def self_intersection_maps(f: SimplicialMap) -> tuple[SimplicialMap, SimplicialMap]:
     """The inclusion A -> M and the restriction f|_A: A -> B = f(A).
 

@@ -9,10 +9,10 @@ theorem with its oracle cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .gf2 import BitMatrix, SubspaceBasis, exact_at, kernel_basis, rank, solve
-from .complexes import is_certified_manifold
+from .complexes import is_certified_manifold, memo
 from .duality import cap_matrix, fundamental_class, poincare_dual, w1
 from .homology import (
     HomologyBasis,
@@ -29,7 +29,6 @@ from .maps import (
     _require_valid,
     image_complex,
     map_into,
-    per_map,
     self_intersection,
     self_intersection_maps,
 )
@@ -67,30 +66,23 @@ class AffineSolutionSet:
 
 @dataclass
 class ObstructionReport:
+    Uf_is_zero: bool
+    w1f_is_zero: bool
     theta_is_zero: bool
     theta_pushforward_zero: bool
     exists_nonzero_mu: bool
     predicate_thm_final: bool
     beta0_oracle: int
     dim_Hm_image: int
-    A_proper: bool
-    Uf_is_zero: bool
-    w1f_is_zero: bool
+    A_proper: bool  # read by final_theorem_check, not reported
 
     def to_json_dict(self) -> dict:
-        return {
-            "Uf_is_zero": self.Uf_is_zero,
-            "w1f_is_zero": self.w1f_is_zero,
-            "theta_is_zero": self.theta_is_zero,
-            "theta_pushforward_zero": self.theta_pushforward_zero,
-            "exists_nonzero_mu": self.exists_nonzero_mu,
-            "predicate_thm_final": self.predicate_thm_final,
-            "beta0_oracle": self.beta0_oracle,
-            "dim_Hm_image": self.dim_Hm_image,
-        }
+        d = asdict(self)
+        del d["A_proper"]
+        return d
 
 
-@per_map
+@memo
 def dual_class_Uf(f: SimplicialMap) -> int:
     """Poincare dual in the codomain of f_*[M], as H^1(codomain) coordinates."""
     m = _require_codim1_certificates(f)
@@ -98,13 +90,13 @@ def dual_class_Uf(f: SimplicialMap) -> int:
     return poincare_dual(f.codomain, m + 1, induced_on_homology(f, m).apply(fm), m)
 
 
-@per_map
+@memo
 def _h1_pullback(f: SimplicialMap) -> InducedMap:
     """f^*: H^1(codomain) -> H^1(domain), shared by w1_of_map and theta."""
     return induced_on_cohomology(f, 1)
 
 
-@per_map
+@memo
 def w1_of_map(f: SimplicialMap) -> int:
     """Degree-1 Stiefel-Whitney class of the stable normal bundle of f.
 
@@ -120,7 +112,7 @@ def w1_of_map(f: SimplicialMap) -> int:
     return _h1_pullback(f).apply(w1(f.codomain, n)) ^ w1(f.domain, m)
 
 
-@per_map
+@memo
 def theta(f: SimplicialMap) -> int:
     """Primary obstruction (f^* U_f + w1(f)) cap [M], as H_{m-1}(M) coordinates."""
     m = _require_positive_codim1(f)

@@ -8,11 +8,17 @@ counts components of the complementary complex directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .gf2 import rank
-from .complexes import SimplicialComplex, Subcomplex, is_certified_manifold
+from .complexes import (
+    SimplicialComplex,
+    Subcomplex,
+    _count_components,
+    is_certified_manifold,
+    memo,
+)
 from .homology import betti, induced_on_cohomology
 from .maps import (
     SelfIntersectionData,
@@ -44,15 +50,7 @@ class SeparationReport:
     agreement: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "h1_Y_zero": self.h1_Y_zero,
-            "A_proper": self.A_proper,
-            "Y_minus_fA_connected": self.Y_minus_fA_connected,
-            "coker_dim": self.coker_dim,
-            "beta0_formula": self.beta0_formula,
-            "beta0_oracle": self.beta0_oracle,
-            "agreement": self.agreement,
-        }
+        return asdict(self)
 
 
 def complement_components_oracle(y: SimplicialComplex, f_img: Subcomplex) -> int:
@@ -77,13 +75,13 @@ def complement_components_oracle(y: SimplicialComplex, f_img: Subcomplex) -> int
     """
     if f_img.parent is not y and f_img.parent != y:
         raise ValueError("image is not a subcomplex of the codomain")
-    if f_img._components is None:
-        f_img._components = _complement_components(y, f_img.simplices)
-    return f_img._components
+    return _complement_components(f_img)
 
 
-def _complement_components(y: SimplicialComplex, img: frozenset) -> int:
+@memo
+def _complement_components(f_img: Subcomplex) -> int:
     """The count of complement_components_oracle, by union-find on E1 + E2 + E3."""
+    y, img = f_img.parent, f_img.simplices
     inside = {s[0] for s in img if len(s) == 1}
     links = []  # pairs of joined nodes
     spanning = set()
@@ -101,18 +99,7 @@ def _complement_components(y: SimplicialComplex, img: frozenset) -> int:
                 s = tuple(w for w in u if w != out[0])
                 if s in spanning:
                     links.append((s, out[0]))
-    parent = {v: v for v in y.vertices if v not in inside}
-    parent.update((s, s) for s in spanning)
-    count = len(parent)
-    for a, b in links:
-        while parent[a] != a:  # path halving
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
+    return _count_components([v for v in y.vertices if v not in inside] + list(spanning), links)
 
 
 def image_components(f: SimplicialMap) -> int:

@@ -118,6 +118,30 @@ def test_cli_negative_subdivide_is_input_error(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--bogus"],
+    ["analyze", "--entry", "equator_s1_s2", "--subdivide", "x"],
+    # each command takes only the options it reads
+    ["analyze", "--entry", "equator_s1_s2", "--seed", "3"],
+    ["oracle", "--entry", "equator_s1_s2", "--seed", "3"],
+    ["duality-check", "--entry", "equator_s1_s2", "--seed", "3"],
+    ["oracle", "--entry", "equator_s1_s2", "--json", "out.json"],
+    ["duality-check", "--entry", "equator_s1_s2", "--json", "out.json"],
+    ["selftest", "--json", "out.json"],
+    ["selftest", "--subdivide", "1"],
+])
+def test_cli_usage_error_is_input_error(capsys, argv):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_cli_help_exits_0(capsys, argv):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: sepcheck")
+
+
 def test_cli_analyze_unknown_entry_is_input_error(capsys):
     code = main(["analyze", "--entry", "does_not_exist"])
     capsys.readouterr()

@@ -1,18 +1,18 @@
-"""The per-map memo (``maps.per_map``): each fact of a map is built once.
+"""The memo (``complexes.memo``): each derived fact is built once per object.
 
 A memoized fact must not depend on what ran before it on the same map, and
 a refusal is not stored, so it is raised again with the same name.
 """
 
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
 from sepcheck import complexes, duality, homology, separation
 from sepcheck.catalog import build_catalog, octahedron, square_circle
 from sepcheck.cli import EXIT_REFUSED, analyze_instance
-from sepcheck.complexes import SimplicialComplex, barycentric_subdivide
+from sepcheck.complexes import SimplicialComplex, barycentric_subdivide, is_certified_manifold
 from sepcheck.maps import SimplicialMap, image_subcomplex, self_intersection, subdivide_map
 from sepcheck.obstruction import (
     cor317_check,
@@ -60,12 +60,15 @@ def test_analyze_builds_each_fact_of_the_map_once(monkeypatch):
     w1s = _count_calls(monkeypatch, duality, "w1")
     pullbacks = _count_calls(monkeypatch, homology, "induced_on_cohomology")
     # The oracle keeps its count on the subcomplex, so it may be called again
-    # on one; only the first call on each runs the count.
-    counts = _count_calls(monkeypatch, separation, "_complement_components")
+    # on one; only the first call on each runs the union-find.
+    counts = []
+    real_count = separation._count_components
+    monkeypatch.setattr(separation, "_count_components",
+                        lambda *args: counts.append(1) or real_count(*args))
     analyze_instance(f)
     img, b = image_subcomplex(f), self_intersection(f).B
     assert {id(sub) for _, sub in oracle} == {id(img), id(b)}
-    assert sorted(id(simps) for _, simps in counts) == sorted([id(img.simplices), id(b.simplices)])
+    assert len(counts) == 2  # one count each on img and b
     assert len(duals) == 1
     assert len(w1s) == 2  # one for the codomain, one for the domain
     assert [d for g, d in pullbacks if g is f] == [1]  # f^* on H^1, for w1(f) and theta
@@ -83,7 +86,39 @@ def test_analyze_certifies_each_complex_once(monkeypatch):
     assert report["separation"] == {"refused": "codomain_closed_manifold"}
     assert Counter((k.name, n) for k, n in certs) == {("square", 1): 1, ("dangling", 2): 1}
     sd, _ = barycentric_subdivide(ybad)
-    assert not sd._non_manifold_dims  # a failure is not inherited
+    assert not is_certified_manifold(sd, 2)
+    assert certs[-1] == (sd, 2)  # a failure is not inherited, so sd is certified anew
+
+
+def test_analyze_at_sd1_builds_each_fact_of_a_complex_once(monkeypatch):
+    """One chain complex per complex, one reduction per (chain complex, direction)
+    and one fundamental-chain check per (complex, n), on fresh complexes."""
+    f, _, _ = subdivide_map(build_catalog()["figure_eight_s1_s2"].map)
+    asked = _count_calls(monkeypatch, homology, "chain_complex")
+    built = []
+    real_init = homology.ChainComplexZ2.__init__
+    monkeypatch.setattr(homology.ChainComplexZ2, "__init__",
+                        lambda c, simplices: built.append(c) or real_init(c, simplices))
+    reductions = defaultdict(list)
+    real_reduction = homology._clearing_reduction
+
+    def reducing(c, cohomology):
+        reductions[c, cohomology].append(real_reduction(c, cohomology))
+        return reductions[c, cohomology][-1]
+
+    monkeypatch.setattr(homology, "_clearing_reduction", reducing)
+    # fundamental_class checks the certificate of (k, n) each time it builds
+    # the chain; nothing else in duality asks for one during analyze
+    checks = []
+    real_certified = duality.is_certified_manifold
+    monkeypatch.setattr(duality, "is_certified_manifold",
+                        lambda k, n: checks.append((k, n)) or real_certified(k, n))
+    analyze_instance(f)
+    assert len(built) == len({id(k) for k, in asked}) == 5  # M, N, f(M), A, B
+    assert len(reductions) == 9
+    assert all(all(b is bases[0] for b in bases) for bases in reductions.values())
+    assert Counter((k.name, n) for k, n in checks) == {(f.domain.name, 1): 1,
+                                                       (f.codomain.name, 2): 1}
 
 
 def _outcome(check, f):

@@ -51,9 +51,9 @@ def test_oracle_count_is_kept_on_the_subcomplex(monkeypatch):
     from sepcheck import separation
     f, _, _ = subdivide_map(CATALOG["figure_eight_s1_s2"].map)
     y, img = f.codomain, image_subcomplex(f)
-    reads = []
-    real_count = separation._complement_components
-    monkeypatch.setattr(separation, "_complement_components",
+    reads = []  # union-find runs: one per count
+    real_count = separation._count_components
+    monkeypatch.setattr(separation, "_count_components",
                         lambda *args: reads.append(1) or real_count(*args))
     assert complement_components_oracle(y, img) == 3
     assert complement_components_oracle(y, img) == 3
