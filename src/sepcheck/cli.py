@@ -13,7 +13,7 @@ import random
 import sys
 
 from .catalog import CatalogEntry, build_catalog, catalog_list
-from .complexes import SimplicialComplex, barycentric_subdivide, is_certified_manifold
+from .complexes import SimplicialComplex, barycentric_subdivide, is_certified_manifold, read_json
 from .duality import poincare_duality_check
 from .gf2 import ladder_check, random_exact_ladder
 from .maps import SimplicialMap, self_intersection, subdivide_map, validate
@@ -43,8 +43,7 @@ def _load_instance(args) -> SimplicialMap:
     for path in args.complex or []:
         k = SimplicialComplex.load(path)
         complexes[k.name] = k
-    with open(args.map) as fh:
-        return SimplicialMap.from_json_dict(json.load(fh), complexes)
+    return SimplicialMap.from_json_dict(read_json(args.map), complexes)
 
 
 def _subdivided(x, times: int):
@@ -256,34 +255,38 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--subdivide", type=int, default=0, metavar="K",
                         help="apply K barycentric subdivisions before analysis")
 
+    # each subcommand keeps its parser, so main reports an unknown option
+    # with that subcommand's usage line
     sp = sub.add_parser("catalog", help="list built-in instances")
     sp.add_argument("--dump", help="write catalog complexes and maps to a directory")
-    sp.set_defaults(func=cmd_catalog)
+    sp.set_defaults(func=cmd_catalog, parser=sp)
 
     sp = sub.add_parser("analyze", help="run the full separation/obstruction analysis")
     inputs(sp)
     sp.add_argument("--json", help="also write the JSON report to this path")
-    sp.set_defaults(func=cmd_analyze)
+    sp.set_defaults(func=cmd_analyze, parser=sp)
 
     sp = sub.add_parser("oracle", help="count complement components directly")
     inputs(sp)
-    sp.set_defaults(func=cmd_oracle)
+    sp.set_defaults(func=cmd_oracle, parser=sp)
 
     sp = sub.add_parser("duality-check", help="Poincare duality checks on manifolds")
     inputs(sp)
-    sp.set_defaults(func=cmd_duality_check)
+    sp.set_defaults(func=cmd_duality_check, parser=sp)
 
     sp = sub.add_parser("selftest", help="run the full invariant suite on the catalog")
     sp.add_argument("--seed", type=int, default=20260823,
                     help="seed for randomized property suites")
-    sp.set_defaults(func=cmd_selftest)
+    sp.set_defaults(func=cmd_selftest, parser=sp)
 
     return p
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as e:  # argparse exits 2 on a usage error, which is an input error
         return EXIT_INPUT if e.code else EXIT_OK
     try:

@@ -2,7 +2,10 @@
 
 Vertex labels are strings under the global lexicographic order; every
 simplex is stored as a sorted tuple of labels and the simplex set is
-closed under taking faces.  Complexes are immutable after construction.
+closed under taking faces.  A complex keeps its d-simplices as one list per
+dimension in canonical order: lexicographic for a complex built from
+maximal simplices or loaded from a file, build order for a barycentric
+subdivision.  Complexes are immutable after construction.
 """
 
 from __future__ import annotations
@@ -37,30 +40,19 @@ def memo(fn):
 class SimplicialComplex:
     """Finite abstract simplicial complex with totally ordered string vertices."""
 
-    def __init__(self, name: str, simplices, *, _closed: bool = False):
-        """Complex on the face closure of ``simplices``, each sorted and checked.
+    def __init__(self, name: str, by_dim: list[list[Simplex]]):
+        """Complex whose d-simplices are ``by_dim[d]``, in canonical order.
 
-        ``_closed=True`` is for internal callers that already pass a list or
-        set of sorted, duplicate-free and face-closed tuples; those are taken
-        as they are, and the vertices and dimension are read in the caller's
-        order, which for a freshly built list is the order in memory.
+        The lists are taken as they are: every simplex a sorted tuple, no
+        repeats, and the union closed under faces.  Their order is the basis
+        order of the chain complex of this complex.  ``from_maximal_simplices`` and
+        ``load`` close, check and sort user input first.
         """
-        if _closed:
-            simps = frozenset(simplices)
-        else:
-            closure = set()
-            for s in {tuple(sorted(s)) for s in simplices}:
-                if len(set(s)) != len(s):
-                    raise ValueError(f"duplicate vertex inside simplex {s}")
-                if not s:
-                    raise ValueError("empty simplex not allowed")
-                for d in range(1, len(s) + 1):
-                    closure.update(combinations(s, d))
-            simplices = simps = frozenset(closure)
         self.name = name
-        self.simplices: frozenset[Simplex] = simps
-        self.vertices: tuple[str, ...] = tuple(sorted(s[0] for s in simplices if len(s) == 1))
-        self.dim = max(map(len, simplices), default=0) - 1
+        self._by_dim = by_dim
+        self.simplices: frozenset[Simplex] = frozenset(chain.from_iterable(by_dim))
+        self.vertices: tuple[str, ...] = tuple(sorted(s[0] for s in by_dim[0])) if by_dim else ()
+        self.dim = len(by_dim) - 1
         self._memo = {}  # facts kept by ``memo``; a subdivision starts empty
         # Facts inherited through barycentric subdivision (both are
         # subdivision invariants): certified closed-manifold dimensions
@@ -70,12 +62,20 @@ class SimplicialComplex:
 
     @staticmethod
     def from_maximal_simplices(name: str, maximal) -> "SimplicialComplex":
-        return SimplicialComplex(name, [tuple(s) for s in maximal])
+        """Complex on the face closure of ``maximal``, each sorted and checked."""
+        closure = set()
+        for s in {tuple(sorted(s)) for s in maximal}:
+            if len(set(s)) != len(s):
+                raise ValueError(f"duplicate vertex inside simplex {s}")
+            if not s:
+                raise ValueError("empty simplex not allowed")
+            for d in range(1, len(s) + 1):
+                closure.update(combinations(s, d))
+        return SimplicialComplex(name, sorted_by_dim(closure))
 
-    @memo
     def simplices_of_dim(self, d: int) -> list[Simplex]:
-        """Lex-sorted list of d-simplices (canonical basis order)."""
-        return sorted(s for s in self.simplices if len(s) == d + 1)
+        """The d-simplices in canonical (basis) order."""
+        return self._by_dim[d] if 0 <= d <= self.dim else []
 
     @memo
     def simplex_index(self, d: int) -> dict[Simplex, int]:
@@ -85,7 +85,7 @@ class SimplicialComplex:
     def _stars(self) -> dict[str, list[Simplex]]:
         """Vertex -> the simplices that contain it."""
         star: dict[str, list[Simplex]] = {v: [] for v in self.vertices}
-        for t in self.simplices:
+        for t in chain.from_iterable(self._by_dim):
             for v in t:
                 star[v].append(t)
         return star
@@ -106,10 +106,7 @@ class SimplicialComplex:
         return sorted(s for s in self.simplices if next(self._cofaces(s), None) is None)
 
     def euler_characteristic(self) -> int:
-        chi = 0
-        for s in self.simplices:
-            chi += -1 if len(s) % 2 == 0 else 1
-        return chi
+        return sum((-1) ** d * len(row) for d, row in enumerate(self._by_dim))
 
     def __eq__(self, other):
         return (
@@ -156,8 +153,22 @@ class SimplicialComplex:
 
     @staticmethod
     def load(path) -> "SimplicialComplex":
-        with open(path) as fh:
-            return SimplicialComplex.from_json_dict(json.load(fh))
+        return SimplicialComplex.from_json_dict(read_json(path))
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; nesting too deep to parse is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def sorted_by_dim(simplices) -> list[list[Simplex]]:
+    """Face-closed sorted tuples as per-dimension lists, each sorted."""
+    top = max(map(len, simplices), default=0)
+    return [sorted(s for s in simplices if len(s) == size) for size in range(1, top + 1)]
 
 
 class Subcomplex:
@@ -187,7 +198,7 @@ class Subcomplex:
         return Subcomplex(parent, full)
 
     def to_complex(self, name: str | None = None) -> SimplicialComplex:
-        return SimplicialComplex(name or f"{self.parent.name}|sub", self.simplices, _closed=True)
+        return SimplicialComplex(name or f"{self.parent.name}|sub", sorted_by_dim(self.simplices))
 
     def is_empty(self) -> bool:
         return not self.simplices
@@ -238,33 +249,38 @@ def barycentric_subdivide(k: SimplicialComplex):
 
     Returns (Sd(k), dictionary new-vertex-label -> original simplex).
     A simplex of Sd(k) is the set of barycenters of a chain s_0 < ... < s_j
-    of simplices of k.  The chains ending at s are built from those ending
-    at the proper faces of s, each as a label-sorted tuple, so every simplex
-    of Sd(k) is made once and never sorted again.  The barycenter of s is
-    put in front when its label sorts before the first label of the chain,
-    as it usually does (a coface's label sorts before its face's), and the
-    tuple is sorted otherwise.
+    of simplices of k.  The simplices s are walked in the canonical order
+    of k, dimension by dimension, and the chains ending at s are built in
+    one pass over the chains ending at its proper faces, each as a
+    label-sorted tuple, so every simplex of Sd(k) is made once and never
+    sorted again.  The barycenter of s is put in front when its label sorts
+    before the first label of the chain, as it usually does (a coface's
+    label sorts before its face's), and the tuple is sorted otherwise.
+    Each chain is listed under its dimension in the order it is built,
+    which is the canonical order of Sd(k) and the same under any hash seed.
     Each barycenter label is built once and shared by every simplex of Sd(k)
-    that contains it, so the set build, sorts and lookups on Sd(k) reuse one
+    that contains it, so the set build and lookups on Sd(k) reuse one
     cached string hash and compare equal labels by identity.  Raises
     ValueError when two simplices of k get the same label.
     """
-    label = {s: barycenter_label(s) for s in k.simplices}
+    label = {s: barycenter_label(s) for row in k._by_dim for s in row}
     vertex_of = {b: s for s, b in label.items()}
     if len(vertex_of) != len(label):
         clash = next(b for s, b in label.items() if vertex_of[b] != s)
         raise ValueError(f"two simplices of {k.name} share the barycenter label {clash!r}")
+    by_dim: list[list[Simplex]] = [[] for _ in k._by_dim]
     ending: dict[Simplex, list[Simplex]] = {}
-    for s in sorted(k.simplices, key=len):
-        b = label[s]
-        bt = (b,)
-        chains = [bt]
-        for d in range(1, len(s)):
-            for f in combinations(s, d):
-                chains += [bt + c if b < c[0] else tuple(sorted(c + bt)) for c in ending[f]]
-        ending[s] = chains
-    sd = SimplicialComplex(f"Sd({k.name})", list(chain.from_iterable(ending.values())),
-                           _closed=True)
+    for d, row in enumerate(k._by_dim):
+        for s in row:
+            b = label[s]
+            bt = (b,)
+            chains = [bt + c if b < c[0] else tuple(sorted(c + bt))
+                      for j in range(1, d + 1) for f in combinations(s, j) for c in ending[f]]
+            chains.append(bt)
+            ending[s] = chains
+            for c in chains:
+                by_dim[len(c) - 1].append(c)
+    sd = SimplicialComplex(f"Sd({k.name})", by_dim)
     sd._manifold_dims = set(k._manifold_dims)
     sd._betti = dict(k._betti)
     return sd, vertex_of
@@ -294,7 +310,7 @@ def link(k: SimplicialComplex, s) -> SimplicialComplex:
         raise ValueError(f"{s} is not a simplex of {k.name}")
     sset = set(s)
     out = [tuple(v for v in t if v not in sset) for t in k._cofaces(s)]
-    return SimplicialComplex(f"lk({k.name},{'.'.join(s)})", out, _closed=True)
+    return SimplicialComplex(f"lk({k.name},{'.'.join(s)})", sorted_by_dim(out))
 
 
 def _link_betti(verts, edges, tris) -> tuple[int, int, int]:

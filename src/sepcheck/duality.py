@@ -1,9 +1,9 @@
 """Fundamental classes, cup/cap products, duality checks, Bockstein, w1.
 
-Cochains are packed GF(2) vectors over the lex-ordered simplex basis of
-their degree.  They stay inside this module: ``cap_matrix`` is cap with [k]
-between the canonical (co)homology bases, and ``poincare_dual`` and ``w1``
-return coordinates in them.  Cup and cap use the front-face/back-face
+Cochains are packed GF(2) vectors over the canonically ordered simplex
+basis of their degree.  They stay inside this module: ``cap_matrix`` is cap
+with [k] between the canonical (co)homology bases, and ``poincare_dual`` and
+``w1`` return coordinates in them.  Cup and cap use the front-face/back-face
 formulas in the global vertex order; the conventions are paired so that
 <x cup y, c> = <x, y cap c> holds on the nose.
 """
@@ -48,7 +48,7 @@ def is_cocycle(x: CohomologyClass) -> bool:
 def fundamental_class(k: SimplicialComplex, n: int) -> int:
     """Z2 fundamental class: the sum of all n-simplices, verified a cycle.
 
-    Returns the chain, packed over the lex basis of the n-simplices, and
+    Returns the chain, packed over the canonical basis of the n-simplices, and
     keeps it on k, so the check runs once per complex and dimension.
     """
     if not is_certified_manifold(k, n):

@@ -7,9 +7,10 @@ Vejdemo-Johansson for the dual).  Every basis keeps the echelon of its
 representatives and boundaries, so a coordinate is one reduction.  The
 chain complex of a ``SimplicialComplex`` is itself cached on the complex.
 
-All bases are canonical: simplices are indexed in lexicographic order and
-the reduction is deterministic, so representatives and induced-map matrices
-are reproducible across runs.
+All bases are canonical: simplices are indexed in the canonical order of
+their complex (``SimplicialComplex.simplices_of_dim``) and the reduction is
+deterministic, so representatives and induced-map matrices are reproducible
+across runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class ChainComplexZ2:
     """Simplicial chain complex over GF(2), possibly relative to a subcomplex."""
 
     def __init__(self, simplices_by_dim: list[list[Simplex]]):
-        self.simplices = simplices_by_dim  # index d -> lex-sorted d-simplices
+        self.simplices = simplices_by_dim  # index d -> d-simplices in canonical order
         self.dim = len(simplices_by_dim) - 1
         self.index = [{s: i for i, s in enumerate(row)} for row in simplices_by_dim]
         self.boundary: list[BitMatrix] = [BitMatrix.zero(0, self.size(0))]

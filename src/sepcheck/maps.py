@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .gf2 import BitMatrix
 from .complexes import (
+    Simplex,
     SimplicialComplex,
     Subcomplex,
     barycentric_subdivide,
@@ -32,11 +33,15 @@ class SimplicialMap:
             raise ValueError(f"vertex map not total; missing {sorted(missing)}")
         self._memo = {}
 
-    def image_simplex(self, s) -> tuple[str, ...]:
+    def image_simplex(self, s) -> Simplex:
         return tuple(sorted({self.vertex_map[v] for v in s}))
 
-    def is_injective_on(self, s) -> bool:
-        return len({self.vertex_map[v] for v in s}) == len(s)
+    @memo
+    def images(self) -> dict[Simplex, Simplex]:
+        """Domain simplex -> its image, in the canonical order of the domain."""
+        dom = self.domain
+        return {s: self.image_simplex(s)
+                for d in range(dom.dim + 1) for s in dom.simplices_of_dim(d)}
 
     def __repr__(self):
         return f"SimplicialMap({self.name!r}: {self.domain.name} -> {self.codomain.name})"
@@ -65,6 +70,10 @@ class SimplicialMap:
             raise ValueError("map file needs a 'vertex_map' from strings to strings")
         if d["domain"] not in complexes or d["codomain"] not in complexes:
             raise ValueError("map references unknown complex")
+        extra = set(vmap) - set(complexes[d["domain"]].vertices)
+        if extra:
+            raise ValueError(f"vertex map of {d['name']!r} has keys that are not "
+                             f"domain vertices: {sorted(extra)}")
         f = SimplicialMap(d["name"], complexes[d["domain"]], complexes[d["codomain"]], vmap)
         if not validate(f):
             raise ValueError(f"vertex map of {d['name']!r} is not simplicial")
@@ -79,8 +88,8 @@ class SimplicialMap:
 @memo
 def validate(f: SimplicialMap) -> bool:
     """True iff every domain simplex maps to a codomain simplex."""
-    return all(f.image_simplex(s) in f.codomain.simplices
-               for s in f.domain.simplices)
+    cod = f.codomain.simplices
+    return all(t in cod for t in f.images().values())
 
 
 def _require_valid(f: SimplicialMap) -> None:
@@ -91,7 +100,7 @@ def _require_valid(f: SimplicialMap) -> None:
 @memo
 def image_subcomplex(f: SimplicialMap) -> Subcomplex:
     _require_valid(f)
-    return Subcomplex(f.codomain, {f.image_simplex(s) for s in f.domain.simplices})
+    return Subcomplex(f.codomain, set(f.images().values()))
 
 
 @memo
@@ -105,9 +114,10 @@ def chain_map(f: SimplicialMap, degree: int) -> BitMatrix:
     _require_valid(f)
     dom = f.domain.simplices_of_dim(degree)
     cod_index = f.codomain.simplex_index(degree)
+    images = f.images()
     cols = []
     for s in dom:
-        img = f.image_simplex(s)
+        img = images[s]
         cols.append(1 << cod_index[img] if len(img) == degree + 1 else 0)
     return BitMatrix.from_columns(len(cod_index), cols)
 
@@ -136,11 +146,12 @@ def self_intersection(f: SimplicialMap) -> SelfIntersectionData:
     its image with c' and is chosen with its group.
     """
     _require_valid(f)
+    images = f.images()
     chosen = set()
     by_image: dict[tuple, list] = {}
-    for s in f.domain.simplices:
-        if f.is_injective_on(s):
-            by_image.setdefault(f.image_simplex(s), []).append(s)
+    for s, img in images.items():
+        if len(img) == len(s):
+            by_image.setdefault(img, []).append(s)
         else:
             chosen.add(s)
     for group in by_image.values():
@@ -148,7 +159,7 @@ def self_intersection(f: SimplicialMap) -> SelfIntersectionData:
             chosen.update(group)
 
     a = Subcomplex.closure(f.domain, chosen)
-    b = Subcomplex.closure(f.codomain, {f.image_simplex(s) for s in a.simplices})
+    b = Subcomplex.closure(f.codomain, {images[s] for s in a.simplices})
     return SelfIntersectionData(a, b, is_embedding=a.is_empty())
 
 
@@ -192,6 +203,7 @@ def subdivide_map(f: SimplicialMap):
     sd_dom, dom_vertex_of = barycentric_subdivide(f.domain)
     sd_cod, cod_vertex_of = barycentric_subdivide(f.codomain)
     cod_label = {s: b for b, s in cod_vertex_of.items()}
-    vm = {b: cod_label[f.image_simplex(s)] for b, s in dom_vertex_of.items()}
+    images = f.images()
+    vm = {b: cod_label[images[s]] for b, s in dom_vertex_of.items()}
     g = SimplicialMap(f"Sd({f.name})", sd_dom, sd_cod, vm)
     return g, sd_dom, sd_cod

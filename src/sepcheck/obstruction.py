@@ -191,9 +191,10 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
     # chain-level excision bijection on relative m-simplices: a cycle on
     # f(M) is projected to relative chains and pulled back to M
     excised = {}
+    images = f.images()
     for i, s in enumerate(M.simplices_of_dim(m)):
         if s not in si.A.simplices:
-            img_s = f.image_simplex(s)
+            img_s = images[s]
             assert len(img_s) == m + 1 and img_s not in si.B.simplices, \
                 "excision bijection violated"
             assert img_s not in excised, "excision bijection not injective"

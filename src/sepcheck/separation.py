@@ -83,13 +83,10 @@ def _complement_components(f_img: Subcomplex) -> int:
     """The count of complement_components_oracle, by union-find on E1 + E2 + E3."""
     y, img = f_img.parent, f_img.simplices
     inside = {s[0] for s in img if len(s) == 1}
-    links = []  # pairs of joined nodes
-    spanning = set()
-    for s in y.simplices:
-        if len(s) == 2 and s[0] not in inside and s[1] not in inside:
-            links.append(s)  # E1
-        elif inside.issuperset(s) and s not in img:
-            spanning.add(s)
+    links = [e for e in y.simplices_of_dim(1)  # E1
+             if e[0] not in inside and e[1] not in inside]
+    spanning = {s for d in range(1, y.dim + 1) for s in y.simplices_of_dim(d)
+                if s[0] in inside and inside.issuperset(s) and s not in img}
     if spanning:
         for s in spanning:  # E2
             links += [(s, t) for t in combinations(s, len(s) - 1) if t not in img]
@@ -146,6 +143,8 @@ def _hypotheses_thm32(f: SimplicialMap, si: SelfIntersectionData) -> dict:
     """
     return {
         "h1_Y_zero": lambda: betti(f.codomain, 1) == 0,
+        # 2 + coker counts for one sphere: r disjoint ones cut out r + 1 pieces
+        "domain_connected": lambda: betti(f.domain, 0) == 1,
         "A_proper": lambda: si.A.simplices != f.domain.simplices,
         "Y_minus_fA_connected": lambda: _complement_connected(f.codomain, si.B),
     }

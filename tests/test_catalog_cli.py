@@ -112,6 +112,31 @@ def test_cli_malformed_map_is_input_error(tmp_path, capsys, content):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["complex", "map"])
+def test_cli_deeply_nested_json_is_input_error(tmp_path, capsys, kind):
+    cpath = tmp_path / "path.json"
+    SimplicialComplex.from_maximal_simplices("path", [["a", "b"], ["b", "c"]]).save(cpath)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)  # too deep for the parser's recursion
+    if kind == "complex":
+        code = main(["duality-check", "--complex", str(deep)])
+    else:
+        code = main(["oracle", "--complex", str(cpath), "--map", str(deep)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_cli_vertex_map_key_outside_the_domain_is_input_error(tmp_path, capsys):
+    cpath = tmp_path / "path.json"
+    SimplicialComplex.from_maximal_simplices("path", [["a", "b"], ["b", "c"]]).save(cpath)
+    mpath = tmp_path / "f.json"
+    mpath.write_text(json.dumps({"name": "f", "domain": "path", "codomain": "path",
+                                 "vertex_map": {"a": "a", "b": "b", "c": "c", "z": "a"}}))
+    code = main(["analyze", "--complex", str(cpath), "--map", str(mpath)])
+    assert code == EXIT_INPUT
+    assert "not domain vertices: ['z']" in capsys.readouterr().err
+
+
 def test_cli_negative_subdivide_is_input_error(capsys):
     code = main(["oracle", "--entry", "equator_s1_s2", "--subdivide", "-1"])
     assert code == EXIT_INPUT
@@ -134,6 +159,14 @@ def test_cli_usage_error_is_input_error(capsys, argv):
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "duality-check", "selftest"])
+def test_cli_unknown_option_shows_the_command_usage(capsys, command):
+    assert main([command, "--bogus", "3"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: sepcheck {command} ")
+    assert f"sepcheck {command}: error: unrecognized arguments: --bogus 3" in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])

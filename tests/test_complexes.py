@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +32,10 @@ from sepcheck.complexes import (
     connected_components,
     link,
     manifold_certificate,
+    sorted_by_dim,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_from_maximal_triangle_circle():
@@ -199,7 +206,7 @@ def _link_reference(k, s):
     s = tuple(sorted(s))
     out = [t for t in k.simplices
            if set(s).isdisjoint(t) and tuple(sorted(set(t) | set(s))) in k.simplices]
-    return SimplicialComplex(f"lk({k.name},{'.'.join(s)})", out, _closed=True)
+    return SimplicialComplex.from_maximal_simplices(f"lk({k.name},{'.'.join(s)})", out)
 
 
 def _certificate_reference(k, n):
@@ -329,7 +336,7 @@ def test_maximal_simplices_matches_brute_force():
 
 def test_certificate_matches_reference_on_catalog():
     for k in _catalog_complexes().values():
-        fresh = SimplicialComplex(k.name, k.simplices, _closed=True)
+        fresh = _fresh(k)
         want = _certificate_reference(fresh, k.dim)
         assert want["is_closed_z2_homology_n_manifold"]
         assert manifold_certificate(fresh, k.dim) == want
@@ -349,7 +356,7 @@ def test_certificate_matches_reference_on_broken_complexes():
 
 def _fresh(k):
     """k without the certificate and Betti numbers it may have inherited."""
-    return SimplicialComplex(k.name, k.simplices, _closed=True)
+    return SimplicialComplex(k.name, [k.simplices_of_dim(d) for d in range(k.dim + 1)])
 
 
 def test_certificate_matches_per_link_reference_on_catalog_and_sd():
@@ -485,7 +492,7 @@ def _chains(k) -> list[tuple]:
 def _subdivide_reference(k):
     """Sd(k) building a fresh label string for every simplex of every chain.
 
-    It goes through the validating constructor, which sorts, checks and
+    It goes through ``from_maximal_simplices``, which sorts, checks and
     closes every simplex again, so it does not rely on what it is compared with.
     """
     vertex_of = {}
@@ -494,15 +501,21 @@ def _subdivide_reference(k):
         sd_simplices.append(tuple(barycenter_label(s) for s in chain))
         if len(chain) == 1:
             vertex_of[barycenter_label(chain[0])] = chain[0]
-    return SimplicialComplex(f"Sd({k.name})", sd_simplices), vertex_of
+    return SimplicialComplex.from_maximal_simplices(f"Sd({k.name})", sd_simplices), vertex_of
 
 
 def _assert_subdivide_matches_reference(k):
     sd, vertex_of = barycentric_subdivide(k)
     ref, ref_vertex_of = _subdivide_reference(k)
     assert sd == ref  # == compares names too
-    assert sd.vertices == ref.vertices
+    assert sd.vertices == ref.vertices == tuple(sorted(sd.vertices))
+    assert sd.dim == ref.dim
+    for d in range(sd.dim + 1):
+        # each dimension in build order: every d-simplex once, nothing else
+        row = sd.simplices_of_dim(d)
+        assert len(row) == len(set(row)) and set(row) == set(ref.simplices_of_dim(d))
     assert vertex_of == ref_vertex_of
+    return sd
 
 
 @given(small_complexes())
@@ -530,8 +543,34 @@ def test_subdivide_matches_per_chain_reference_on_low_labels(k):
 
 
 def test_subdivide_matches_per_chain_reference_on_catalog():
+    # Sd and Sd² of every catalog complex
     for k in _catalog_complexes().values():
-        _assert_subdivide_matches_reference(k)
+        sd = _assert_subdivide_matches_reference(k)
+        if k.name != "cross_polytope_s3":  # its Sd² has its own test below
+            _assert_subdivide_matches_reference(sd)
+
+
+_ORDER_DIGEST = """
+import hashlib
+from sepcheck.catalog import cross_polytope_s3
+from sepcheck.complexes import barycentric_subdivide
+sd2 = barycentric_subdivide(barycentric_subdivide(cross_polytope_s3())[0])[0]
+h = hashlib.sha256()
+for d in range(sd2.dim + 1):
+    h.update(repr(sd2.simplices_of_dim(d)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_subdivision_order_is_the_same_under_any_hash_seed():
+    digests = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", _ORDER_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout)
+    assert len(digests) == 1
 
 
 def test_subdivide_matches_per_chain_reference_on_sd_three_sphere():
@@ -543,11 +582,14 @@ def test_subdivide_matches_per_chain_reference_on_sd_three_sphere():
 @given(small_complexes())
 @settings(max_examples=150, deadline=None)
 def test_trusted_constructor_matches_validating_constructor(k):
-    trusted = SimplicialComplex(k.name, k.simplices, _closed=True)
-    checked = SimplicialComplex(k.name, k.simplices)
+    trusted = SimplicialComplex(k.name, sorted_by_dim(k.simplices))
+    checked = SimplicialComplex.from_maximal_simplices(k.name, k.simplices)
     assert trusted.simplices == checked.simplices == k.simplices
     assert trusted.vertices == checked.vertices == tuple(sorted({v for s in k.simplices for v in s}))
     assert trusted.dim == checked.dim == max(len(s) for s in k.simplices) - 1
+    for d in range(k.dim + 1):
+        assert trusted.simplices_of_dim(d) == checked.simplices_of_dim(d) \
+            == sorted(s for s in k.simplices if len(s) == d + 1)
 
 
 def facet_table(k):

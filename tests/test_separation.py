@@ -5,19 +5,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepcheck.catalog import build_catalog, octahedron, square_circle
+from sepcheck.cli import EXIT_REFUSED, analyze_instance
 from sepcheck.complexes import (
     SimplicialComplex,
     Subcomplex,
+    barycentric_subdivide,
     complementary_complex,
     connected_components,
+    link,
 )
-from sepcheck.maps import SimplicialMap, image_subcomplex, self_intersection, subdivide_map
+from sepcheck.maps import (
+    SimplicialMap,
+    image_subcomplex,
+    inclusion,
+    self_intersection,
+    subdivide_map,
+)
 from sepcheck.separation import (
     HypothesisError,
     beta0_formula_thm32,
     check_hypotheses_thm32,
     complement_components_oracle,
     eq1_identity_check,
+    image_components,
     jordan_brouwer_check,
     prop34_check,
 )
@@ -66,12 +76,14 @@ def test_oracle_count_is_kept_on_the_subcomplex(monkeypatch):
 
 def test_hypotheses_equator_all_true():
     hyp = check_hypotheses_thm32(CATALOG["equator_s1_s2"].map)
-    assert hyp == {"h1_Y_zero": True, "A_proper": True, "Y_minus_fA_connected": True}
+    assert hyp == {"h1_Y_zero": True, "domain_connected": True, "A_proper": True,
+                   "Y_minus_fA_connected": True}
 
 
 def test_hypotheses_figure_eight_all_true():
     hyp = check_hypotheses_thm32(CATALOG["figure_eight_s1_s2"].map)
-    assert hyp == {"h1_Y_zero": True, "A_proper": True, "Y_minus_fA_connected": True}
+    assert hyp == {"h1_Y_zero": True, "domain_connected": True, "A_proper": True,
+                   "Y_minus_fA_connected": True}
 
 
 def test_hypotheses_torus_fails_h1():
@@ -164,7 +176,8 @@ def test_empty_b_in_disconnected_codomain_is_refused():
     f = SimplicialMap("equator_in_two", square, two, {v: v for v in square.vertices})
     assert self_intersection(f).B.is_empty()
     assert check_hypotheses_thm32(f) == {
-        "h1_Y_zero": True, "A_proper": True, "Y_minus_fA_connected": False}
+        "h1_Y_zero": True, "domain_connected": True, "A_proper": True,
+        "Y_minus_fA_connected": False}
     with pytest.raises(HypothesisError) as exc:
         beta0_formula_thm32(f)
     assert exc.value.hypothesis == "Y_minus_fA_connected"
@@ -172,7 +185,7 @@ def test_empty_b_in_disconnected_codomain_is_refused():
 
 def test_hypotheses_report_every_key_when_h1_fails():
     hyp = check_hypotheses_thm32(CATALOG["essential_circle_t2"].map)
-    assert list(hyp) == ["h1_Y_zero", "A_proper", "Y_minus_fA_connected"]
+    assert list(hyp) == ["h1_Y_zero", "domain_connected", "A_proper", "Y_minus_fA_connected"]
     assert all(isinstance(v, bool) for v in hyp.values())
 
 
@@ -190,6 +203,29 @@ def test_jordan_brouwer_rejects_non_embedding():
     with pytest.raises(HypothesisError) as exc:
         jordan_brouwer_check(CATALOG["figure_eight_s1_s2"].map)
     assert exc.value.hypothesis == "is_embedding"
+
+
+def _two_circles_in_sd_octahedron():
+    """The links of the two poles of Sd(octahedron): disjoint embedded circles."""
+    sd, _ = barycentric_subdivide(octahedron())
+    circles = Subcomplex(sd, link(sd, ("⟨n⟩",)).simplices | link(sd, ("⟨s⟩",)).simplices)
+    return inclusion(circles, "two_circles")
+
+
+def test_disconnected_domain_is_refused():
+    f = _two_circles_in_sd_octahedron()
+    assert self_intersection(f).is_embedding
+    assert image_components(f) == 3  # 2 + coker would say 2
+    assert check_hypotheses_thm32(f) == {
+        "h1_Y_zero": True, "domain_connected": False, "A_proper": True,
+        "Y_minus_fA_connected": True}
+    for check in (beta0_formula_thm32, jordan_brouwer_check):
+        with pytest.raises(HypothesisError) as exc:
+            check(f)
+        assert exc.value.hypothesis == "domain_connected"
+    report, code = analyze_instance(f)
+    assert code == EXIT_REFUSED
+    assert report["separation"] == {"refused": "domain_connected"}
 
 
 def test_jordan_brouwer_survives_subdivision():
