@@ -35,7 +35,9 @@ def main() -> int:
         for level in range(args.levels + 1):
             if level:
                 t0 = time.perf_counter()
-                f, _, _ = subdivide_map(f)
+                # hold the subdivided complexes only through f, so that they
+                # are freed at the next entry, outside every timer
+                f = subdivide_map(f)[0]
                 subdivided = f", subdivide_map {time.perf_counter() - t0:.3f}s"
             t0 = time.perf_counter()
             counts.append(

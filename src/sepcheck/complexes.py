@@ -105,9 +105,6 @@ class SimplicialComplex:
     def maximal_simplices(self) -> list[Simplex]:
         return sorted(s for s in self.simplices if next(self._cofaces(s), None) is None)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(row) for d, row in enumerate(self._by_dim))
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)
@@ -212,17 +209,6 @@ class Subcomplex:
 
     def __hash__(self):
         return hash((self.parent.name, self.simplices))
-
-
-def connected_components(k) -> int:
-    """Number of components of the vertex-edge graph (isolated vertices count)."""
-    if isinstance(k, Subcomplex):
-        verts = [s[0] for s in k.simplices if len(s) == 1]
-        edges = [s for s in k.simplices if len(s) == 2]
-    else:
-        verts = list(k.vertices)
-        edges = k.simplices_of_dim(1)
-    return _count_components(verts, edges)
 
 
 def _count_components(nodes, links) -> int:

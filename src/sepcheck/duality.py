@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, dot, kernel_basis, rank, solve
+from .gf2 import BitMatrix, dot, kernel_basis, rank, solve, vec_from_bits
 from .complexes import (
     SimplicialComplex,
     Subcomplex,
@@ -36,12 +36,10 @@ class CohomologyClass:
     cocycle: int  # packed cochain representative
 
 
-def _coboundary(k: SimplicialComplex, degree: int) -> BitMatrix:
-    return chain_complex(k).boundary_map(degree + 1).transpose()
-
-
 def is_cocycle(x: CohomologyClass) -> bool:
-    return _coboundary(x.complex, x.degree).matvec(x.cocycle) == 0
+    """delta x = 0: x vanishes on the boundary of every (degree+1)-simplex."""
+    boundary = chain_complex(x.complex).boundary_map(x.degree + 1)
+    return not any(dot(col, x.cocycle) for col in boundary.data)
 
 
 @memo
@@ -109,7 +107,7 @@ def cap_matrix(k: SimplicialComplex, n: int, d: int) -> BitMatrix:
     hho = homology_basis(c, d)
     cols = [hho.coordinates(cap(CohomologyClass(k, n - d, rep), fc, n))
             for rep in cohomology_basis(c, n - d).representatives.vectors]
-    return BitMatrix.from_columns(hho.dim, cols)
+    return BitMatrix(hho.dim, len(cols), tuple(cols))
 
 
 def poincare_dual(k: SimplicialComplex, n: int, h_coords: int, degree: int) -> int:
@@ -177,17 +175,11 @@ def w1(k: SimplicialComplex, n: int) -> int:
     c = chain_complex(k)
     h1 = cohomology_basis(c, 1)
     hn1 = cohomology_basis(c, n - 1)
-    rows = []
-    rhs = 0
-    for j, xr in enumerate(hn1.representatives.vectors):
-        xcls = CohomologyClass(k, n - 1, xr)
-        row = 0
-        for i, er in enumerate(h1.representatives.vectors):
-            val = evaluate(cup(CohomologyClass(k, 1, er), xcls), fc)
-            row |= val << i
-        rows.append(row)
-        rhs |= evaluate(sq1(xcls), fc) << j
-    m = BitMatrix(hn1.dim, h1.dim, tuple(rows))
+    xs = [CohomologyClass(k, n - 1, xr) for xr in hn1.representatives.vectors]
+    cols = tuple(vec_from_bits(evaluate(cup(CohomologyClass(k, 1, er), x), fc) for x in xs)
+                 for er in h1.representatives.vectors)
+    m = BitMatrix(hn1.dim, h1.dim, cols)
+    rhs = vec_from_bits(evaluate(sq1(x), fc) for x in xs)
     v = solve(m, rhs)
     if v is None:
         raise RuntimeError("Wu-class system inconsistent")

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over GF(2).
 
-Matrices store one Python integer per row, bit j of row i being the
-(i, j) entry, so row operations are single XORs on packed words.
-Vectors are plain integers with the same bit convention; every routine
-that needs a vector length takes it from the matrix it accompanies.
+Matrices store one Python integer per column, bit i of column j being the
+(i, j) entry, so a matrix is built as its columns are computed and column
+operations are single XORs on packed words.  Vectors are plain integers
+with the same bit convention; every routine that needs a vector length
+takes it from the matrix it accompanies.
 """
 
 from __future__ import annotations
@@ -28,117 +29,63 @@ def dot(u: int, v: int) -> int:
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """Immutable dense matrix over GF(2); ``data[i]`` packs row i."""
+    """Immutable dense matrix over GF(2); ``data[j]`` packs column j."""
 
     rows: int
     cols: int
     data: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.data) != self.rows:
-            raise ValueError("row count does not match data")
-        mask = (1 << self.cols) - 1
-        for r in self.data:
-            if r & ~mask:
-                raise ValueError("row has bits beyond declared width")
-
-    @classmethod
-    def _built(cls, rows: int, cols: int, data: tuple[int, ...]) -> "BitMatrix":
-        """A matrix whose shape holds by construction, made without the checks."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", data)
-        return m
+        if len(self.data) != self.cols:
+            raise ValueError("column count does not match data")
+        for c in self.data:
+            if c >> self.rows:
+                raise ValueError("column has bits beyond declared row count")
 
     @staticmethod
     def zero(rows: int, cols: int) -> "BitMatrix":
-        return BitMatrix(rows, cols, (0,) * rows)
-
-    @staticmethod
-    def identity(n: int) -> "BitMatrix":
-        return BitMatrix(n, n, tuple(1 << i for i in range(n)))
-
-    @staticmethod
-    def from_rows(rows, cols: int | None = None) -> "BitMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return BitMatrix(len(rows), cols, tuple(vec_from_bits(r) for r in rows))
-
-    @staticmethod
-    def from_columns(rows: int, cols) -> "BitMatrix":
-        """Matrix whose column j is the packed vector ``cols[j]`` of length rows.
-
-        Walks the set bits of each column, so the cost is O(rows + set bits)
-        row updates rather than one pass over every (row, column) entry.
-        """
-        data = [0] * rows
-        for j, c in enumerate(cols):
-            if c >> rows:
-                raise ValueError("column has bits beyond declared row count")
-            bit = 1 << j
-            while c:
-                low = c & -c
-                data[low.bit_length() - 1] |= bit
-                c ^= low
-        return BitMatrix._built(rows, len(cols), tuple(data))
+        return BitMatrix(rows, cols, (0,) * cols)
 
     def matvec(self, x: int) -> int:
-        """Apply to a packed column vector; returns a packed vector of length rows."""
+        """The XOR of the columns that the packed vector x selects."""
         out = 0
-        for i, row in enumerate(self.data):
-            if (row & x).bit_count() & 1:
-                out |= 1 << i
+        while x:
+            out ^= self.data[(x & -x).bit_length() - 1]
+            x &= x - 1
         return out
 
     def matmul(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        out = []
-        for row in self.data:
-            acc = 0
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                acc ^= other.data[j]
-                r &= r - 1
-            out.append(acc)
-        return BitMatrix._built(self.rows, other.cols, tuple(out))
+        return BitMatrix(self.rows, other.cols, tuple(self.matvec(c) for c in other.data))
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_columns(self.cols, self.data)
+        """Walks the set bits of each column: O(rows + cols + set bits) updates."""
+        data = [0] * self.rows
+        for j, c in enumerate(self.data):
+            bit = 1 << j
+            while c:
+                low = c & -c
+                data[low.bit_length() - 1] |= bit
+                c ^= low
+        return BitMatrix(self.cols, self.rows, tuple(data))
 
     def hstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        data = tuple(a | (b << self.cols) for a, b in zip(self.data, other.data))
-        return BitMatrix._built(self.rows, self.cols + other.cols, data)
+        return BitMatrix(self.rows, self.cols + other.cols, self.data + other.data)
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return BitMatrix._built(self.rows + other.rows, self.cols, self.data + other.data)
+        data = tuple(a | (b << self.rows) for a, b in zip(self.data, other.data))
+        return BitMatrix(self.rows + other.rows, self.cols, data)
 
     def column(self, j: int) -> int:
-        out = 0
-        for i, row in enumerate(self.data):
-            out |= ((row >> j) & 1) << i
-        return out
+        return self.data[j]
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.data)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BitMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return not any(self.data)
 
 
 @dataclass(frozen=True)
@@ -152,12 +99,9 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def contains(self, v: int) -> bool:
-        return Echelon(self.vectors).reduce(v)[0] == 0
-
     def span_matrix(self) -> BitMatrix:
         """Matrix with the basis vectors as columns (ambient_dim x dim)."""
-        return BitMatrix.from_columns(self.ambient_dim, self.vectors)
+        return BitMatrix(self.ambient_dim, self.dim, self.vectors)
 
 
 class Echelon:
@@ -214,7 +158,7 @@ class Echelon:
 
 
 def rank(m: BitMatrix) -> int:
-    """GF(2) row rank via Gaussian elimination with first-nonzero pivots."""
+    """GF(2) rank: the echelon of the columns, pivots at their lowest bits."""
     return len(Echelon(m.data).rows)
 
 
@@ -237,7 +181,7 @@ def solve(m: BitMatrix, b: int) -> int | None:
     """
     if b >> m.rows:
         raise ValueError("right-hand side longer than row count")
-    residue, x = Echelon(m.transpose().data, track=True).reduce(b)
+    residue, x = Echelon(m.data, track=True).reduce(b)
     return None if residue else x
 
 
@@ -245,7 +189,7 @@ def kernel_basis(m: BitMatrix) -> SubspaceBasis:
     """Basis of the null space {x : m x = 0}, deterministic order."""
     ech = Echelon(track=True)
     basis = []
-    for j, col in enumerate(m.transpose().data):
+    for j, col in enumerate(m.data):
         residue, combo = ech.add(col, 1 << j)
         if not residue:
             basis.append(combo)
@@ -255,7 +199,7 @@ def kernel_basis(m: BitMatrix) -> SubspaceBasis:
 def column_space_basis(m: BitMatrix) -> SubspaceBasis:
     """Basis of the column space, chosen greedily in column order."""
     ech = Echelon()
-    return SubspaceBasis(m.rows, tuple(c for c in m.transpose().data if ech.add(c)[0]))
+    return SubspaceBasis(m.rows, tuple(c for c in m.data if ech.add(c)[0]))
 
 
 def inverse(m: BitMatrix) -> BitMatrix | None:
@@ -269,7 +213,7 @@ def inverse(m: BitMatrix) -> BitMatrix | None:
         if x is None:
             return None
         cols.append(x)
-    return BitMatrix.from_columns(n, cols)
+    return BitMatrix(n, n, tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +290,7 @@ def ladder_check(d: LadderDiagram) -> LadderCheckResult:
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
-    return BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+    return BitMatrix(rows, cols, tuple(rng.getrandbits(rows) for _ in range(cols)))
 
 
 def _random_full_rank(rng: random.Random, rows: int, cols: int) -> BitMatrix:
@@ -374,7 +318,7 @@ def _quotient_map(ambient: int, sub: SubspaceBasis) -> BitMatrix:
     t, _ = _extend_to_basis(ambient, sub)
     tinv = inverse(t)
     assert tinv is not None
-    return BitMatrix(ambient - sub.dim, ambient, tinv.data[sub.dim:])
+    return BitMatrix(ambient - sub.dim, ambient, tuple(c >> sub.dim for c in tinv.data))
 
 
 def _extend_to_basis(ambient: int, sub: SubspaceBasis):
@@ -384,7 +328,7 @@ def _extend_to_basis(ambient: int, sub: SubspaceBasis):
     """
     ech = Echelon(sub.vectors)
     extra = [1 << j for j in range(ambient) if ech.add(1 << j)[0]]
-    return BitMatrix.from_columns(ambient, sub.vectors + tuple(extra)), extra
+    return BitMatrix(ambient, ambient, sub.vectors + tuple(extra)), extra
 
 
 def random_exact_ladder(rng: random.Random) -> LadderDiagram:
@@ -426,16 +370,16 @@ def random_exact_ladder(rng: random.Random) -> LadderDiagram:
 
     # f solves a' f = g a column by column (consistent since g(W) = V).
     fcols = []
-    for col in g.matmul(top_a).transpose().data:
+    for col in g.matmul(top_a).data:
         x = solve(bot_a, col)
         assert x is not None
         fcols.append(x)
-    vert_f = BitMatrix.from_columns(dim_ap, fcols)
+    vert_f = BitMatrix(dim_ap, dim_a, tuple(fcols))
 
     # h is determined: h = b' g s for any section s of b (one column per
     # complement vector, so h has top_b.rows columns).
     _, extra = _extend_to_basis(dim_bp, wbasis)
     bg = bot_b.matmul(g)
-    vert_h = BitMatrix.from_columns(bot_b.rows, [bg.matvec(e) for e in extra])
+    vert_h = BitMatrix(bot_b.rows, len(extra), tuple(bg.matvec(e) for e in extra))
 
     return LadderDiagram(top_a, top_b, bot_lam, bot_a, bot_b, vert_f, g, vert_h)

@@ -26,10 +26,11 @@ from .maps import chain_map, inclusion
 class ChainComplexZ2:
     """Simplicial chain complex over GF(2), possibly relative to a subcomplex."""
 
-    def __init__(self, simplices_by_dim: list[list[Simplex]]):
+    def __init__(self, simplices_by_dim: list[list[Simplex]],
+                 index: list[dict[Simplex, int]]):
         self.simplices = simplices_by_dim  # index d -> d-simplices in canonical order
         self.dim = len(simplices_by_dim) - 1
-        self.index = [{s: i for i, s in enumerate(row)} for row in simplices_by_dim]
+        self.index = index  # index d -> position of each d-simplex in simplices[d]
         self.boundary: list[BitMatrix] = [BitMatrix.zero(0, self.size(0))]
         for d in range(1, self.dim + 1):
             cols = []
@@ -40,7 +41,7 @@ class ChainComplexZ2:
                     if i is not None:  # faces inside the subcomplex are quotiented away
                         col ^= 1 << i
                 cols.append(col)
-            self.boundary.append(BitMatrix.from_columns(self.size(d - 1), cols))
+            self.boundary.append(BitMatrix(self.size(d - 1), len(cols), tuple(cols)))
         for d in range(1, self.dim):
             assert self.boundary[d].matmul(self.boundary[d + 1]).is_zero(), "dd != 0"
         self._memo = {}
@@ -59,9 +60,13 @@ class ChainComplexZ2:
 
 @memo
 def chain_complex(k: SimplicialComplex) -> ChainComplexZ2:
-    """The chain complex of k, built on first use and cached on k."""
+    """The chain complex of k, built on first use and cached on k.
+
+    It indexes the simplices with k's own ``simplex_index`` tables.
+    """
     dim = max(k.dim, 0) if k.simplices else -1
-    return ChainComplexZ2([k.simplices_of_dim(d) for d in range(dim + 1)])
+    return ChainComplexZ2([k.simplices_of_dim(d) for d in range(dim + 1)],
+                          [k.simplex_index(d) for d in range(dim + 1)])
 
 
 def relative_chain_complex(k: SimplicialComplex, l: Subcomplex) -> ChainComplexZ2:
@@ -71,7 +76,7 @@ def relative_chain_complex(k: SimplicialComplex, l: Subcomplex) -> ChainComplexZ
         [s for s in k.simplices_of_dim(d) if s not in l.simplices]
         for d in range(k.dim + 1)
     ]
-    return ChainComplexZ2(simp)
+    return ChainComplexZ2(simp, [{s: i for i, s in enumerate(row)} for row in simp])
 
 
 @dataclass
@@ -85,7 +90,6 @@ class HomologyBasis:
 
     degree: int
     representatives: SubspaceBasis
-    boundaries: SubspaceBasis
     echelon: Echelon = field(default_factory=lambda: Echelon(track=True))
 
     @property
@@ -127,7 +131,7 @@ def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBas
     boundaries = Echelon()  # reduced columns of the step before
     for d in (range(c.dim + 1) if cohomology else range(c.dim, -1, -1)):
         n = c.size(d)
-        cols = c.boundary_map(d + 1).data if cohomology else c.boundary_map(d).transpose().data
+        cols = c.boundary_map(d + 1).transpose().data if cohomology else c.boundary_map(d).data
         # column indices, not the pivots 1 << j: building and hashing a
         # j-bit int per column made analyze at Sd^2 about 12% slower
         cleared = {low.bit_length() - 1 for low in boundaries.rows}
@@ -145,15 +149,14 @@ def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBas
         for i, z in enumerate(reps):
             basis.rows[z & -z] = z
             basis.combos[z & -z] = 1 << i
-        bases[d] = HomologyBasis(d, SubspaceBasis(n, tuple(reps)),
-                                 SubspaceBasis(n, tuple(boundaries.rows.values())), basis)
+        bases[d] = HomologyBasis(d, SubspaceBasis(n, tuple(reps)), basis)
         boundaries = ech
     return bases
 
 
 def _empty_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     n = c.size(max(degree, 0))
-    return HomologyBasis(degree, SubspaceBasis(n, ()), SubspaceBasis(n, ()))
+    return HomologyBasis(degree, SubspaceBasis(n, ()))
 
 
 def homology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
@@ -194,19 +197,13 @@ class InducedMap:
     def apply(self, coords: int) -> int:
         return self.matrix.matvec(coords)
 
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
 
 def induced_map_from_chain_matrix(
     f_chain: BitMatrix, source: HomologyBasis, target: HomologyBasis,
 ) -> InducedMap:
     """Induced map on (co)homology given the chain-level matrix."""
-    cols = []
-    for z in source.representatives.vectors:
-        img = f_chain.matvec(z)
-        cols.append(target.coordinates(img))
-    return InducedMap(source, target, BitMatrix.from_columns(target.dim, cols))
+    cols = tuple(target.coordinates(f_chain.matvec(z)) for z in source.representatives.vectors)
+    return InducedMap(source, target, BitMatrix(target.dim, source.dim, cols))
 
 
 def induced_on_homology(f, degree: int) -> InducedMap:
@@ -250,7 +247,7 @@ def connecting_map(source: HomologyBasis, lift, boundary: BitMatrix, read,
                 assert b is not None, "connecting chain escapes the subcomplex"
                 zl |= 1 << b
         cols.append(target.coordinates(zl))
-    return BitMatrix.from_columns(target.dim, cols)
+    return BitMatrix(target.dim, source.dim, tuple(cols))
 
 
 def _projection_chain_matrix(k: SimplicialComplex, rel: ChainComplexZ2, degree: int) -> BitMatrix:
@@ -260,7 +257,7 @@ def _projection_chain_matrix(k: SimplicialComplex, rel: ChainComplexZ2, degree: 
     for s in ksimp:
         i = rindex.get(s)
         cols.append(1 << i if i is not None else 0)
-    return BitMatrix.from_columns(rel.size(degree), cols)
+    return BitMatrix(rel.size(degree), len(cols), tuple(cols))
 
 
 def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:

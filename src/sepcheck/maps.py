@@ -119,7 +119,7 @@ def chain_map(f: SimplicialMap, degree: int) -> BitMatrix:
     for s in dom:
         img = images[s]
         cols.append(1 << cod_index[img] if len(img) == degree + 1 else 0)
-    return BitMatrix.from_columns(len(cod_index), cols)
+    return BitMatrix(len(cod_index), len(cols), tuple(cols))
 
 
 @dataclass

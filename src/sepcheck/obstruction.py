@@ -52,16 +52,10 @@ class AffineSolutionSet:
     def solvable(self) -> bool:
         return self.particular is not None
 
-    def contains_zero(self) -> bool:
-        return self.solvable and self.kernel.contains(self.particular)
-
     def has_nonzero(self) -> bool:
         if not self.solvable:
             return False
         return self.particular != 0 or self.kernel.dim > 0
-
-    def all_nonzero(self) -> bool:
-        return self.solvable and not self.contains_zero()
 
 
 @dataclass

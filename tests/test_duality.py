@@ -4,6 +4,7 @@ import pytest
 
 from sepcheck import duality
 from sepcheck.catalog import (
+    build_catalog,
     cross_polytope_s3,
     csaszar_torus,
     hexagon,
@@ -51,6 +52,19 @@ def test_fundamental_class_examples():
     assert bin(fct).count("1") == 14
     ht = homology_basis(chain_complex(csaszar_torus()), 2)
     assert not ht.is_zero_class(fct)
+
+
+def test_is_cocycle_agrees_with_the_transposed_boundary_on_the_catalog():
+    complexes = {id(k): k for e in build_catalog().values()
+                 for k in (e.map.domain, e.map.codomain)}
+    for k in complexes.values():
+        c = chain_complex(k)
+        for d in range(k.dim + 1):
+            coboundary = c.boundary_map(d + 1).transpose()
+            reps = cohomology_basis(c, d).representatives.vectors
+            assert all(is_cocycle(CohomologyClass(k, d, x)) for x in reps), (k.name, d)
+            for x in reps + tuple(1 << j for j in range(c.size(d))):
+                assert is_cocycle(CohomologyClass(k, d, x)) == (coboundary.matvec(x) == 0)
 
 
 def test_fundamental_class_is_kept_on_its_complex(monkeypatch):

@@ -98,7 +98,8 @@ def test_analyze_at_sd1_builds_each_fact_of_a_complex_once(monkeypatch):
     built = []
     real_init = homology.ChainComplexZ2.__init__
     monkeypatch.setattr(homology.ChainComplexZ2, "__init__",
-                        lambda c, simplices: built.append(c) or real_init(c, simplices))
+                        lambda c, simplices, index: built.append(c)
+                        or real_init(c, simplices, index))
     reductions = defaultdict(list)
     real_reduction = homology._clearing_reduction
 

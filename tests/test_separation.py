@@ -11,7 +11,6 @@ from sepcheck.complexes import (
     Subcomplex,
     barycentric_subdivide,
     complementary_complex,
-    connected_components,
     link,
 )
 from sepcheck.maps import (
@@ -31,7 +30,7 @@ from sepcheck.separation import (
     jordan_brouwer_check,
     prop34_check,
 )
-from test_complexes import facet_table, small_complexes
+from test_complexes import connected_components, facet_table, small_complexes
 
 CATALOG = build_catalog()
 
