@@ -1,4 +1,8 @@
-"""Simplicial maps, chain maps, and the combinatorial self-intersection set."""
+"""Simplicial maps, chain maps, and the combinatorial self-intersection set.
+
+A ``SimplicialMap`` checks its vertex map when it is made, so every function
+here takes the map it is given to be simplicial and checks nothing again.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +22,9 @@ from .complexes import (
 class SimplicialMap:
     """Vertex assignment between complexes sending simplices to simplices.
 
+    The constructor raises ``ValueError`` unless the vertex map is total, has
+    no key outside the domain and sends every domain simplex to a codomain
+    simplex, so a map read from a file or built in Python is simplicial.
     Maps are immutable after construction, like complexes, so the facts
     derived from one are computed once and kept on it (``complexes.memo``).
     """
@@ -31,7 +38,13 @@ class SimplicialMap:
         missing = set(domain.vertices) - set(self.vertex_map)
         if missing:
             raise ValueError(f"vertex map not total; missing {sorted(missing)}")
+        extra = set(self.vertex_map) - set(domain.vertices)
+        if extra:
+            raise ValueError(f"vertex map of {name!r} has keys that are not "
+                             f"domain vertices: {sorted(extra)}")
         self._memo = {}
+        if not validate(self):
+            raise ValueError(f"vertex map of {name!r} is not simplicial")
 
     def image_simplex(self, s) -> Simplex:
         return tuple(sorted({self.vertex_map[v] for v in s}))
@@ -70,14 +83,7 @@ class SimplicialMap:
             raise ValueError("map file needs a 'vertex_map' from strings to strings")
         if d["domain"] not in complexes or d["codomain"] not in complexes:
             raise ValueError("map references unknown complex")
-        extra = set(vmap) - set(complexes[d["domain"]].vertices)
-        if extra:
-            raise ValueError(f"vertex map of {d['name']!r} has keys that are not "
-                             f"domain vertices: {sorted(extra)}")
-        f = SimplicialMap(d["name"], complexes[d["domain"]], complexes[d["codomain"]], vmap)
-        if not validate(f):
-            raise ValueError(f"vertex map of {d['name']!r} is not simplicial")
-        return f
+        return SimplicialMap(d["name"], complexes[d["domain"]], complexes[d["codomain"]], vmap)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -87,19 +93,13 @@ class SimplicialMap:
 
 @memo
 def validate(f: SimplicialMap) -> bool:
-    """True iff every domain simplex maps to a codomain simplex."""
+    """True iff every domain simplex maps to a codomain simplex (the constructor's last check)."""
     cod = f.codomain.simplices
     return all(t in cod for t in f.images().values())
 
 
-def _require_valid(f: SimplicialMap) -> None:
-    if not validate(f):
-        raise ValueError(f"{f.name} is not a simplicial map")
-
-
 @memo
 def image_subcomplex(f: SimplicialMap) -> Subcomplex:
-    _require_valid(f)
     return Subcomplex(f.codomain, set(f.images().values()))
 
 
@@ -111,7 +111,6 @@ def image_complex(f: SimplicialMap) -> SimplicialComplex:
 
 def chain_map(f: SimplicialMap, degree: int) -> BitMatrix:
     """Degree-d chain map over Z2; degenerate simplices map to zero."""
-    _require_valid(f)
     dom = f.domain.simplices_of_dim(degree)
     cod_index = f.codomain.simplex_index(degree)
     images = f.images()
@@ -145,7 +144,6 @@ def self_intersection(f: SimplicialMap) -> SelfIntersectionData:
     the image of s, so either c' = s is a face of the chosen c, or s shares
     its image with c' and is chosen with its group.
     """
-    _require_valid(f)
     images = f.images()
     chosen = set()
     by_image: dict[tuple, list] = {}
@@ -199,7 +197,6 @@ def subdivide_map(f: SimplicialMap):
     label tables of the subdivisions, so its keys and values are the label
     objects of Sd(domain) and Sd(codomain) themselves.
     """
-    _require_valid(f)
     sd_dom, dom_vertex_of = barycentric_subdivide(f.domain)
     sd_cod, cod_vertex_of = barycentric_subdivide(f.codomain)
     cod_label = {s: b for b, s in cod_vertex_of.items()}

@@ -26,7 +26,6 @@ from .homology import (
 )
 from .maps import (
     SimplicialMap,
-    _require_valid,
     image_complex,
     map_into,
     self_intersection,
@@ -98,7 +97,6 @@ def w1_of_map(f: SimplicialMap) -> int:
     coordinates; the dimension gap may be any nonnegative integer here
     (identity maps are legitimate inputs).
     """
-    _require_valid(f)
     m = f.domain.dim
     n = f.codomain.dim
     if not (is_certified_manifold(f.domain, m) and is_certified_manifold(f.codomain, n)):
@@ -133,7 +131,6 @@ def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutio
     ``theta_coords`` (in the canonical H_{m-1}(domain) basis) may be given
     explicitly; by default it is computed from the obstruction class.
     """
-    _require_valid(f)
     m = f.domain.dim
     if theta_coords is None:
         theta_coords = theta(f)
@@ -167,7 +164,6 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
     connecting map factors through the chain-level excision bijection
     between relative simplices of (M, A) and (f(M), B).
     """
-    _require_valid(f)
     m = f.domain.dim
     si = self_intersection(f)
     incl, f_a = self_intersection_maps(f)

@@ -23,7 +23,6 @@ from .homology import betti, induced_on_cohomology
 from .maps import (
     SelfIntersectionData,
     SimplicialMap,
-    _require_valid,
     image_complex,
     image_subcomplex,
     self_intersection,
@@ -106,7 +105,6 @@ def image_components(f: SimplicialMap) -> int:
 
 def _require_codim1_certificates(f: SimplicialMap) -> int:
     """Certify domain as closed n-manifold, codomain as closed (n+1)-manifold."""
-    _require_valid(f)
     n = f.domain.dim
     if not is_certified_manifold(f.domain, n):
         raise HypothesisError("domain_closed_manifold",
@@ -208,7 +206,6 @@ def prop34_check(f: SimplicialMap) -> dict:
     certificates and H_1(Y;Z2) = 0 hold; otherwise the record reports
     applicability arithmetic alone.
     """
-    _require_valid(f)
     n = f.domain.dim
     si = self_intersection(f)
     dim_a = si.dim_A

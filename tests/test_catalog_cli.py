@@ -137,6 +137,41 @@ def test_cli_vertex_map_key_outside_the_domain_is_input_error(tmp_path, capsys):
     assert "not domain vertices: ['z']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle", "duality-check"])
+@pytest.mark.parametrize("vertex_map, message", [
+    # a and c are the ends of the path, not an edge
+    ({"a": "a", "b": "c", "c": "c"}, "vertex map of 'f' is not simplicial"),
+    ({"a": "a", "b": "b"}, "vertex map not total; missing ['c']"),
+], ids=["not_simplicial", "not_total"])
+def test_cli_bad_vertex_map_is_input_error(tmp_path, capsys, command, vertex_map, message):
+    cpath = tmp_path / "path.json"
+    SimplicialComplex.from_maximal_simplices("path", [["a", "b"], ["b", "c"]]).save(cpath)
+    mpath = tmp_path / "f.json"
+    mpath.write_text(json.dumps({"name": "f", "domain": "path", "codomain": "path",
+                                 "vertex_map": vertex_map}))
+    code = main([command, "--complex", str(cpath), "--map", str(mpath)])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["path_first", "triangle_first"])
+def test_cli_two_complexes_with_one_name_are_input_error(tmp_path, capsys, order):
+    paths = [tmp_path / "p.json", tmp_path / "p2.json"]
+    SimplicialComplex.from_maximal_simplices("p", [["a", "b"], ["b", "c"]]).save(paths[0])
+    SimplicialComplex.from_maximal_simplices(
+        "p", [["a", "b"], ["b", "c"], ["a", "c"]]).save(paths[1])
+    mpath = tmp_path / "j.json"
+    mpath.write_text(json.dumps({"name": "j", "domain": "p", "codomain": "p",
+                                 "vertex_map": {"a": "a", "b": "b", "c": "c"}}))
+    args = [arg for i in order for arg in ("--complex", str(paths[i]))]
+    code = main(["analyze", *args, "--map", str(mpath)])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "input error: two --complex files define a complex named 'p'\n")
+
+
 def test_cli_negative_subdivide_is_input_error(capsys):
     code = main(["oracle", "--entry", "equator_s1_s2", "--subdivide", "-1"])
     assert code == EXIT_INPUT

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sepcheck.catalog import build_catalog, hexagon, octahedron, triangle_circle
 from sepcheck.complexes import SimplicialComplex, barycenter_label
@@ -32,8 +34,54 @@ def test_validate_constant():
 def test_validate_rejects_nonadjacent_images():
     # a and c are opposite vertices of the octahedron equator: not an edge
     vm = {f"h{i}": ("a" if i % 2 == 0 else "c") for i in range(6)}
-    f = SimplicialMap("bad", hexagon(), octahedron(), vm)
-    assert not validate(f)
+    with pytest.raises(ValueError, match=r"^vertex map of 'bad' is not simplicial$"):
+        SimplicialMap("bad", hexagon(), octahedron(), vm)
+
+
+ALL_TO_N = {f"h{i}": "n" for i in range(6)}
+
+
+@pytest.mark.parametrize("vm, message", [
+    ({"h0": "n", "h2": "n"}, "vertex map not total; missing ['h1', 'h3', 'h4', 'h5']"),
+    ({**ALL_TO_N, "z": "n"}, "vertex map of 'f' has keys that are not domain vertices: ['z']"),
+    ({f"h{i}": "ac"[i % 2] for i in range(6)}, "vertex map of 'f' is not simplicial"),
+    # the rules are checked in this order, so a map breaking all three is not total
+    ({"h0": "a", "h1": "c", "z": "n"}, "vertex map not total; missing ['h2', 'h3', 'h4', 'h5']"),
+    ({"h0": "a", "h1": "c", "h2": "a", "h3": "c", "h4": "a", "h5": "c", "z": "n"},
+     "vertex map of 'f' has keys that are not domain vertices: ['z']"),
+], ids=["not_total", "key_outside_domain", "not_simplicial", "total_first", "keys_second"])
+def test_constructor_checks_the_vertex_map(vm, message):
+    with pytest.raises(ValueError) as exc:
+        SimplicialMap("f", hexagon(), octahedron(), vm)
+    assert str(exc.value) == message
+
+
+@st.composite
+def vertex_maps(draw):
+    """Maximal simplices of a domain and a codomain, and a total vertex map between them."""
+    maximal = st.lists(st.sets(st.sampled_from("abcde"), min_size=1, max_size=3),
+                       min_size=1, max_size=6)
+    dom_max, cod_max = draw(maximal), draw(maximal)
+    cod_vertices = sorted(set().union(*cod_max))
+    vm = {v: draw(st.sampled_from(cod_vertices)) for v in sorted(set().union(*dom_max))}
+    return dom_max, cod_max, vm
+
+
+@given(vertex_maps())
+@example(([{"a", "b"}], [{"a"}, {"b"}], {"a": "a", "b": "b"}))  # an edge onto two points
+@example(([{"a", "b", "c"}], [{"a", "b"}], {"a": "a", "b": "b", "c": "a"}))  # a collapse
+@settings(max_examples=200, deadline=None)
+def test_constructor_accepts_exactly_the_simplicial_vertex_maps(case):
+    dom_max, cod_max, vm = case
+    dom = SimplicialComplex.from_maximal_simplices("M", [sorted(s) for s in dom_max])
+    cod = SimplicialComplex.from_maximal_simplices("N", [sorted(s) for s in cod_max])
+    # a vertex map is simplicial iff each maximal simplex goes into a maximal simplex
+    if all(any({vm[v] for v in s} <= c for c in cod_max) for s in dom_max):
+        f = SimplicialMap("f", dom, cod, vm)
+        assert set(f.images().values()) <= cod.simplices
+    else:
+        with pytest.raises(ValueError, match=r"^vertex map of 'f' is not simplicial$"):
+            SimplicialMap("f", dom, cod, vm)
 
 
 def test_image_subcomplex_identity_and_constant():
