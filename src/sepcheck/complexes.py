@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import defaultdict
 from itertools import chain, combinations
 
 from .gf2 import Echelon
@@ -299,20 +298,34 @@ def link(k: SimplicialComplex, s) -> SimplicialComplex:
     return SimplicialComplex(f"lk({k.name},{'.'.join(s)})", sorted_by_dim(out))
 
 
-def _link_betti(verts, edges, tris) -> tuple[int, int, int]:
-    """Z2 Betti numbers (beta0, beta1, beta2) of a complex of dimension <= 2.
+def _link_betti(cof, dim: int, i: int) -> tuple[int, int, int]:
+    """Z2 Betti numbers (beta0, beta1, beta2) of the link of a simplex s.
 
-    ``verts`` are labels and ``edges``, ``tris`` sorted tuples of them,
-    together closed under faces.  beta0 counts components and r, the GF(2) rank
-    of the boundary of the triangles over the edges, gives
-    beta1 = E - V + beta0 - r and beta2 = F - r.
+    s is simplex i of dimension ``dim`` of a complex whose cofacet lists
+    are ``cof`` (``ChainComplexZ2.cofacets``), and its link has dimension
+    at most 2.  A face t - s of the link is a coface t of s: its vertices
+    are the cofacets of s, its edges their cofacets, each containing
+    exactly 2 link vertices, and its triangles the edges' cofacets, each
+    containing exactly 3 link edges, which pack its boundary.  beta0
+    counts components and r, the GF(2) rank of the boundary of the
+    triangles over the edges, gives beta1 = E - V + beta0 - r and
+    beta2 = F - r.
     """
-    b0 = _count_components(verts, edges)
-    r = 0
-    if tris:
-        bit = {e: 1 << i for i, e in enumerate(edges)}
-        r = len(Echelon(bit[a, b] | bit[a, c] | bit[b, c] for a, b, c in tris).rows)
-    return b0, len(edges) - len(verts) + b0 - r, len(tris) - r
+    verts, edges_of = cof[dim][i], cof[dim + 1]
+    ends: dict[int, list[int]] = {}  # link edge -> its two link vertices
+    for t in verts:
+        for e in edges_of[t]:
+            ends.setdefault(e, []).append(t)
+    if not ends:  # the link is a set of points
+        return len(verts), 0, 0
+    tris_of = cof[dim + 2]
+    tris: dict[int, int] = {}  # link triangle -> its packed boundary
+    for bit, e in enumerate(ends):
+        for t in tris_of[e]:
+            tris[t] = tris.get(t, 0) | 1 << bit
+    b0 = _count_components(verts, ends.values())
+    r = len(Echelon(tris.values()).rows)
+    return b0, len(ends) - len(verts) + b0 - r, len(tris) - r
 
 
 _SPHERE_BETTI = {0: (2, 0, 0), 1: (1, 1, 0), 2: (1, 0, 1)}
@@ -326,14 +339,14 @@ def manifold_certificate(k: SimplicialComplex, n: int):
     k pure (a simplex in no n-simplex has an empty or too-low link) and
     gives every (n-1)-simplex exactly two cofacets (its link is the set of
     their opposite vertices).  Returns a dict verdict with the violating
-    simplices, in order of size and then label.
+    simplices in the canonical order of k, dimension by dimension.
 
     Links of dimension at most 2 (those of simplices of codimension 1, 2
-    and 3) are tabulated in one pass over the top three skeleta and read by
-    ``_link_betti``: a component count and one GF(2) rank.  Only links of
-    dimension 3 and more, which no closed 3-manifold has, get a link
-    complex and a chain complex.  A pass is kept on k, and inherited by
-    its subdivisions.
+    and 3) are read by ``_link_betti`` off the cofacet lists of the chain
+    complex of k, which the (co)homology of k then reuses: a component
+    count and one GF(2) rank.  Only links of dimension 3 and more, which
+    no closed 3-manifold has, get a link complex and a chain complex.  A
+    pass is kept on k, and inherited by its subdivisions.
     """
     from .homology import chain_complex, betti_numbers
 
@@ -341,27 +354,13 @@ def manifold_certificate(k: SimplicialComplex, n: int):
         return {"is_closed_z2_homology_n_manifold": False,
                 "failures": sorted(k.simplices, key=lambda s: (len(s), s))[:1]}
 
-    # lk[j][s] lists the faces with j vertices of the link of s: t - s over
-    # the cofaces t of s with |t| = |s| + j.  As k.dim == n, a simplex of
-    # codimension at most 3 has all its cofaces in the top three skeleta, so
-    # one pass over them builds its link whole.  combinations(t, j) lists the
-    # complements of combinations(t, |t| - j) in reverse order, which pairs
-    # each face of t with the vertices it drops.
-    low = max(n - 2, 1)  # vertex count of the smallest tabulated simplex
-    lk: list[dict[Simplex, list]] = [defaultdict(list) for _ in range(4)]
-    for size in range(low + 1, n + 2):
-        for t in k.simplices_of_dim(size - 1):
-            for j in range(1, size - low + 1):
-                faces = reversed(t) if j == 1 else reversed(list(combinations(t, j)))
-                for face, s in zip(faces, combinations(t, size - j)):
-                    lk[j][s].append(face)
-
+    cof = chain_complex(k).cofacets()
     failures = []
     for dim in range(n):  # an n-simplex has no cofaces, so its link is empty
         d = n - 1 - dim  # expected sphere dimension of the link
-        for s in k.simplices_of_dim(dim):
+        for i, s in enumerate(k.simplices_of_dim(dim)):
             if d <= 2:
-                ok = _link_betti(*(lk[j].get(s, ()) for j in (1, 2, 3))) == _SPHERE_BETTI[d]
+                ok = _link_betti(cof, dim, i) == _SPHERE_BETTI[d]
             else:
                 lk_s = link(k, s)
                 ok = bool(lk_s.simplices)
@@ -369,7 +368,7 @@ def manifold_certificate(k: SimplicialComplex, n: int):
                     b = betti_numbers(chain_complex(lk_s))
                     want = [1] + [0] * max(lk_s.dim, d)
                     want[d] = 1
-                    ok = [b.get(i, 0) for i in range(len(want))] == want
+                    ok = [b.get(j, 0) for j in range(len(want))] == want
             if not ok:
                 failures.append(s)
 

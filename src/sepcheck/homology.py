@@ -1,11 +1,16 @@
 """Z2 chain complexes, absolute and relative (co)homology, induced maps.
 
-Each chain complex is reduced once, on first use, and the result is cached
-on it: one clearing reduction of the boundaries for homology and one of the
-coboundaries for cohomology (Chen & Kerber's "twist"; de Silva, Morozov &
-Vejdemo-Johansson for the dual).  Every basis keeps the echelon of its
-representatives and boundaries, so a coordinate is one reduction.  The
-chain complex of a ``SimplicialComplex`` is itself cached on the complex.
+A chain complex keeps the facet index list of every simplex: its boundary
+columns are packed from them, and d d = 0 is checked by XORing, for each
+simplex, the columns its list names.  Their transpose, the cofacet lists,
+is built once on first use; the coboundary columns are packed from it, and
+the manifold certificate reads its links off it.  Each chain complex is
+reduced once, on first use, and the result is cached on it: one clearing
+reduction of the boundaries for homology and one of the coboundaries for
+cohomology (Chen & Kerber's "twist"; de Silva, Morozov & Vejdemo-Johansson
+for the dual).  Every basis keeps the echelon of its representatives and
+boundaries, so a coordinate is one reduction.  The chain complex of a
+``SimplicialComplex`` is itself cached on the complex.
 
 All bases are canonical: simplices are indexed in the canonical order of
 their complex (``SimplicialComplex.simplices_of_dim``) and the reduction is
@@ -23,28 +28,61 @@ from .complexes import Simplex, SimplicialComplex, Subcomplex, memo
 from .maps import chain_map, inclusion
 
 
+def _pack(indices) -> int:
+    """The packed vector with the bits ``indices`` set."""
+    v = 0
+    for i in indices:
+        v |= 1 << i
+    return v
+
+
 class ChainComplexZ2:
-    """Simplicial chain complex over GF(2), possibly relative to a subcomplex."""
+    """Simplicial chain complex over GF(2), possibly relative to a subcomplex.
+
+    ``facets[d][j]`` lists the positions in ``simplices[d - 1]`` of the
+    facets of simplex j of dimension d, in ``combinations`` order, and
+    ``boundary[d]`` packs each list as a column; ``cofacets()`` is the
+    transpose of the lists.
+    """
 
     def __init__(self, simplices_by_dim: list[list[Simplex]],
                  index: list[dict[Simplex, int]]):
         self.simplices = simplices_by_dim  # index d -> d-simplices in canonical order
         self.dim = len(simplices_by_dim) - 1
         self.index = index  # index d -> position of each d-simplex in simplices[d]
+        self.facets: list[list[tuple[int, ...]]] = [[()] * self.size(0)]
         self.boundary: list[BitMatrix] = [BitMatrix.zero(0, self.size(0))]
         for d in range(1, self.dim + 1):
-            cols = []
+            get = self.index[d - 1].get
+            facets = []
             for s in self.simplices[d]:
+                f = tuple(map(get, combinations(s, d)))
+                if None in f:  # faces inside the subcomplex are quotiented away
+                    f = tuple(i for i in f if i is not None)
+                facets.append(f)
+            self.facets.append(facets)
+            self.boundary.append(BitMatrix(self.size(d - 1), len(facets), tuple(map(_pack, facets))))
+        for d in range(1, self.dim):  # each (d+1)-simplex XORs the d-columns it names
+            cols = self.boundary[d].data
+            for f in self.facets[d + 1]:
                 col = 0
-                for f in combinations(s, d):
-                    i = self.index[d - 1].get(f)
-                    if i is not None:  # faces inside the subcomplex are quotiented away
-                        col ^= 1 << i
-                cols.append(col)
-            self.boundary.append(BitMatrix(self.size(d - 1), len(cols), tuple(cols)))
-        for d in range(1, self.dim):
-            assert self.boundary[d].matmul(self.boundary[d + 1]).is_zero(), "dd != 0"
+                for i in f:
+                    col ^= cols[i]
+                assert not col, "dd != 0"
         self._memo = {}
+
+    @memo
+    def cofacets(self) -> list[list[tuple[int, ...]]]:
+        """``cofacets()[d][i]``: the positions in ``simplices[d + 1]``, ascending,
+        of the simplices whose facet list names simplex i of dimension d."""
+        out = []
+        for d in range(self.dim + 1):
+            cof = [[] for _ in range(self.size(d))]
+            for j, f in enumerate(self.facets[d + 1] if d < self.dim else ()):
+                for i in f:
+                    cof[i].append(j)
+            out.append(list(map(tuple, cof)))
+        return out
 
     def size(self, d: int) -> int:
         return len(self.simplices[d]) if 0 <= d <= self.dim else 0
@@ -131,7 +169,8 @@ def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBas
     boundaries = Echelon()  # reduced columns of the step before
     for d in (range(c.dim + 1) if cohomology else range(c.dim, -1, -1)):
         n = c.size(d)
-        cols = c.boundary_map(d + 1).transpose().data if cohomology else c.boundary_map(d).data
+        # column i of delta^d packs the cofacets of simplex i
+        cols = list(map(_pack, c.cofacets()[d])) if cohomology else c.boundary_map(d).data
         # column indices, not the pivots 1 << j: building and hashing a
         # j-bit int per column made analyze at Sd^2 about 12% slower
         cleared = {low.bit_length() - 1 for low in boundaries.rows}

@@ -369,6 +369,19 @@ def test_certificate_matches_reference_on_broken_complexes():
     assert ("n",) in manifold_certificate(wedge, 2)["failures"]
 
 
+def test_certificate_failures_come_in_canonical_order():
+    """Sd of a disk lists its simplices in build order, not sorted, and so
+    do its failures: the boundary vertices and edges, dimension by dimension."""
+    disk = SimplicialComplex.from_maximal_simplices("disk", [["a", "b", "c"], ["a", "c", "d"]])
+    sd, _ = barycentric_subdivide(disk)
+    failures = manifold_certificate(sd, 2)["failures"]
+    assert set(failures) == set(_certificate_reference(sd, 2)["failures"])
+    assert len(failures) == len(set(failures)) == 16
+    assert failures == [s for d in range(sd.dim + 1) for s in sd.simplices_of_dim(d)
+                        if s in set(failures)]
+    assert failures != sorted(failures, key=lambda s: (len(s), s))
+
+
 def _fresh(k):
     """k without the certificate and Betti numbers it may have inherited."""
     return SimplicialComplex(k.name, [k.simplices_of_dim(d) for d in range(k.dim + 1)])
@@ -469,10 +482,13 @@ def two_complexes(draw):
     "disk", [["a", "b", "c"], ["a", "c", "d"], ["x"]]))
 @settings(max_examples=200, deadline=None)
 def test_link_betti_matches_chain_complex_on_random_two_complexes(k):
+    """The cone on k has k as the link of its apex."""
     from sepcheck.homology import betti_numbers, chain_complex
 
+    cone = SimplicialComplex.from_maximal_simplices(
+        f"C({k.name})", [[*s, "apex"] for s in k.maximal_simplices()])
     b = betti_numbers(chain_complex(k))
-    assert _link_betti(list(k.vertices), k.simplices_of_dim(1), k.simplices_of_dim(2)) \
+    assert _link_betti(chain_complex(cone).cofacets(), 0, cone.simplex_index(0)["apex",]) \
         == (b.get(0, 0), b.get(1, 0), b.get(2, 0))
 
 

@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepcheck.catalog import (
@@ -19,6 +21,8 @@ from sepcheck.complexes import (
 from sepcheck.duality import poincare_duality_check
 from sepcheck.gf2 import Echelon, column_space_basis, kernel_basis, rank
 from sepcheck.homology import (
+    ChainComplexZ2,
+    _pack,
     betti_numbers,
     chain_complex,
     cohomology_basis,
@@ -326,6 +330,45 @@ def test_betti_numbers_equal_the_rank_formula(pair):
     k, l = pair
     for c in (chain_complex(k), relative_chain_complex(k, l)):
         assert betti_numbers(c) == _betti_by_ranks(c)
+
+
+def _assert_tables(c):
+    """Facet lists against the index tables, cofacets as their transpose,
+    and the packed coboundary columns as the transpose of the boundary."""
+    for d in range(1, c.dim + 1):
+        assert c.facets[d] == [tuple(c.index[d - 1][f] for f in combinations(s, d)
+                                     if f in c.index[d - 1]) for s in c.simplices[d]]
+    cof = c.cofacets()
+    assert cof is c.cofacets()
+    assert len(cof) == c.dim + 1
+    for d in range(c.dim + 1):
+        up = c.facets[d + 1] if d < c.dim else []
+        assert cof[d] == [tuple(j for j, f in enumerate(up) if i in f) for i in range(c.size(d))]
+        assert tuple(map(_pack, cof[d])) == c.boundary_map(d + 1).transpose().data
+
+
+def _octahedron_mod_equator():
+    k = octahedron()
+    return k, Subcomplex.closure(k, [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+
+
+@given(small_pairs())
+@example(_octahedron_mod_equator())
+@settings(max_examples=150, deadline=None)
+def test_cofacets_transpose_the_facet_lists(pair):
+    k, l = pair
+    for c in (chain_complex(k), relative_chain_complex(k, l)):
+        _assert_tables(c)
+
+
+def test_chain_complex_asserts_dd_is_zero():
+    """Two edges that trade places in the index make the triangles name the wrong edges."""
+    k = octahedron()
+    index = [dict(k.simplex_index(d)) for d in range(k.dim + 1)]
+    e, f = k.simplices_of_dim(1)[:2]
+    index[1][e], index[1][f] = index[1][f], index[1][e]
+    with pytest.raises(AssertionError, match=r"^dd != 0$"):
+        ChainComplexZ2([k.simplices_of_dim(d) for d in range(k.dim + 1)], index)
 
 
 def test_clearing_bases_on_relative_complexes():
