@@ -22,6 +22,7 @@ from .complexes import (
 )
 from .homology import (
     chain_complex,
+    cocycles,
     cohomology_basis,
     homology_basis,
     relative_chain_complex,
@@ -103,10 +104,9 @@ def evaluate(x: CohomologyClass, chain: int) -> int:
 def cap_matrix(k: SimplicialComplex, n: int, d: int) -> BitMatrix:
     """Matrix of cap-with-[k]: H^{n-d} -> H_d in the canonical bases."""
     fc = fundamental_class(k, n)
-    c = chain_complex(k)
-    hho = homology_basis(c, d)
+    hho = homology_basis(chain_complex(k), d)
     cols = [hho.coordinates(cap(CohomologyClass(k, n - d, rep), fc, n))
-            for rep in cohomology_basis(c, n - d).representatives.vectors]
+            for rep in cocycles(k, n - d)]
     return BitMatrix(hho.dim, len(cols), tuple(cols))
 
 
@@ -172,18 +172,16 @@ def w1(k: SimplicialComplex, n: int) -> int:
     for every x in H^{n-1}; w1 = v1.
     """
     fc = fundamental_class(k, n)
-    c = chain_complex(k)
-    h1 = cohomology_basis(c, 1)
-    hn1 = cohomology_basis(c, n - 1)
-    xs = [CohomologyClass(k, n - 1, xr) for xr in hn1.representatives.vectors]
+    h1 = cocycles(k, 1)
+    xs = [CohomologyClass(k, n - 1, xr) for xr in cocycles(k, n - 1)]
     cols = tuple(vec_from_bits(evaluate(cup(CohomologyClass(k, 1, er), x), fc) for x in xs)
-                 for er in h1.representatives.vectors)
-    m = BitMatrix(hn1.dim, h1.dim, cols)
+                 for er in h1)
+    m = BitMatrix(len(xs), len(h1), cols)
     rhs = vec_from_bits(evaluate(sq1(x), fc) for x in xs)
     v = solve(m, rhs)
     if v is None:
         raise RuntimeError("Wu-class system inconsistent")
-    if kernel_basis(m).dim != 0 and h1.dim > 0:
+    if kernel_basis(m).dim != 0 and h1:
         raise RuntimeError("Wu-class system underdetermined beyond duality kernel")
     return v
 

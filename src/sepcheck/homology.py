@@ -5,11 +5,15 @@ columns are packed from them, and d d = 0 is checked by XORing, for each
 simplex, the columns its list names.  Their transpose, the cofacet lists,
 is built once on first use; the coboundary columns are packed from it, and
 the manifold certificate reads its links off it.  Each chain complex is
-reduced once, on first use, and the result is cached on it: one clearing
-reduction of the boundaries for homology and one of the coboundaries for
-cohomology (Chen & Kerber's "twist"; de Silva, Morozov & Vejdemo-Johansson
-for the dual).  Every basis keeps the echelon of its representatives and
-boundaries, so a coordinate is one reduction.  The chain complex of a
+reduced at most once per direction, on first use, and the result is cached
+on it: one clearing reduction of the boundaries for homology and one of the
+coboundaries for cohomology (Chen & Kerber's "twist"; de Silva, Morozov &
+Vejdemo-Johansson for the dual).  Every basis keeps the echelon of its
+representatives and boundaries, so a coordinate is one reduction.  A caller
+that only iterates cocycle representatives reads ``cocycles``, which
+returns none without reducing the coboundaries when the Betti number of
+that degree is 0 (over Z2, dim H^d = dim H_d); expressing a cocycle in a
+basis still needs ``cohomology_basis``.  The chain complex of a
 ``SimplicialComplex`` is itself cached on the complex.
 
 All bases are canonical: simplices are indexed in the canonical order of
@@ -227,9 +231,22 @@ def betti(k: SimplicialComplex, degree: int) -> int:
     return b.get(degree, 0)
 
 
+def cocycles(k: SimplicialComplex, degree: int) -> tuple[int, ...]:
+    """The cocycle representatives of the canonical basis of H^degree(k).
+
+    Over Z2, dim H^d = dim H_d, so a zero Betti number means an empty basis
+    and the coboundaries of k are not reduced.  Only for a caller that
+    iterates the representatives: expressing a cocycle in the basis needs
+    the coboundary echelon of ``cohomology_basis``.
+    """
+    if betti(k, degree) == 0:
+        return ()
+    return cohomology_basis(chain_complex(k), degree).representatives.vectors
+
+
 @dataclass
 class InducedMap:
-    source: HomologyBasis
+    source: SubspaceBasis  # the representatives whose images are the columns
     target: HomologyBasis
     matrix: BitMatrix  # target.dim x source.dim
 
@@ -238,10 +255,10 @@ class InducedMap:
 
 
 def induced_map_from_chain_matrix(
-    f_chain: BitMatrix, source: HomologyBasis, target: HomologyBasis,
+    f_chain: BitMatrix, source: SubspaceBasis, target: HomologyBasis,
 ) -> InducedMap:
     """Induced map on (co)homology given the chain-level matrix."""
-    cols = tuple(target.coordinates(f_chain.matvec(z)) for z in source.representatives.vectors)
+    cols = tuple(target.coordinates(f_chain.matvec(z)) for z in source.vectors)
     return InducedMap(source, target, BitMatrix(target.dim, source.dim, cols))
 
 
@@ -249,14 +266,20 @@ def induced_on_homology(f, degree: int) -> InducedMap:
     """f_*: H_degree(domain) -> H_degree(codomain) for a simplicial map."""
     src = homology_basis(chain_complex(f.domain), degree)
     tgt = homology_basis(chain_complex(f.codomain), degree)
-    return induced_map_from_chain_matrix(chain_map(f, degree), src, tgt)
+    return induced_map_from_chain_matrix(chain_map(f, degree), src.representatives, tgt)
 
 
 def induced_on_cohomology(f, degree: int) -> InducedMap:
-    """f^*: H^degree(codomain) -> H^degree(domain); transpose construction."""
-    src = cohomology_basis(chain_complex(f.codomain), degree)
+    """f^*: H^degree(codomain) -> H^degree(domain); transpose construction.
+
+    The source is only iterated, so it is read through ``cocycles``; the
+    target reduces each pulled-back cocycle against the coboundaries of the
+    domain, so it is the full ``cohomology_basis``.
+    """
+    pull = chain_map(f, degree).transpose()
+    src = SubspaceBasis(pull.cols, cocycles(f.codomain, degree))
     tgt = cohomology_basis(chain_complex(f.domain), degree)
-    return induced_map_from_chain_matrix(chain_map(f, degree).transpose(), src, tgt)
+    return induced_map_from_chain_matrix(pull, src, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +339,8 @@ def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:
         i_star = induced_on_homology(i, d)
         h_rel = homology_basis(crel, d)
         proj = _projection_chain_matrix(k, crel, d)
-        maps += [i_star.matrix, induced_map_from_chain_matrix(proj, i_star.target, h_rel).matrix]
+        maps += [i_star.matrix,
+                 induced_map_from_chain_matrix(proj, i_star.target.representatives, h_rel).matrix]
         if d > 0:
             kindex, lindex = k.simplex_index(d), i.domain.simplex_index(d - 1)
             maps.append(connecting_map(

@@ -195,10 +195,12 @@ def subdivide_map(f: SimplicialMap):
 
     Returns (Sd(f), Sd(domain), Sd(codomain)).  The vertex map reads both
     label tables of the subdivisions, so its keys and values are the label
-    objects of Sd(domain) and Sd(codomain) themselves.
+    objects of Sd(domain) and Sd(codomain) themselves.  A self-map is
+    subdivided once, so Sd(f) is a self-map too.
     """
     sd_dom, dom_vertex_of = barycentric_subdivide(f.domain)
-    sd_cod, cod_vertex_of = barycentric_subdivide(f.codomain)
+    sd_cod, cod_vertex_of = ((sd_dom, dom_vertex_of) if f.codomain is f.domain
+                             else barycentric_subdivide(f.codomain))
     cod_label = {s: b for b, s in cod_vertex_of.items()}
     images = f.images()
     vm = {b: cod_label[images[s]] for b, s in dom_vertex_of.items()}

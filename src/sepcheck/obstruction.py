@@ -121,8 +121,8 @@ def theta_pushforward_check(f: SimplicialMap) -> bool:
 def _restriction_system(f: SimplicialMap, d: int) -> tuple[BitMatrix, HomologyBasis]:
     """j_* stacked on (f|_A)_*: H_d(A) -> H_d(M) + H_d(B), and the basis of H_d(A)."""
     j, f_a = self_intersection_maps(f)
-    j_star = induced_on_homology(j, d)
-    return j_star.matrix.vstack(induced_on_homology(f_a, d).matrix), j_star.source
+    system = induced_on_homology(j, d).matrix.vstack(induced_on_homology(f_a, d).matrix)
+    return system, homology_basis(chain_complex(j.domain), d)
 
 
 def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutionSet:

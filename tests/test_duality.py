@@ -11,11 +11,12 @@ from sepcheck.catalog import (
     octahedron,
     rp2_six_vertex,
 )
-from sepcheck.complexes import SimplicialComplex, Subcomplex
+from sepcheck.complexes import SimplicialComplex, Subcomplex, is_certified_manifold
 from sepcheck.duality import (
     CohomologyClass,
     alexander_duality_check,
     cap,
+    cap_matrix,
     cohomology_class_is_zero,
     cup,
     evaluate,
@@ -26,7 +27,14 @@ from sepcheck.duality import (
     sq1,
     w1,
 )
-from sepcheck.homology import chain_complex, cohomology_basis, homology_basis
+from sepcheck.gf2 import BitMatrix, solve, vec_from_bits
+from sepcheck.homology import (
+    chain_complex,
+    cohomology_basis,
+    homology_basis,
+    induced_on_cohomology,
+)
+from sepcheck.maps import chain_map, subdivide_map
 
 MANIFOLDS = [(hexagon(), 1), (octahedron(), 2), (csaszar_torus(), 2),
              (rp2_six_vertex(), 2), (cross_polytope_s3(), 3)]
@@ -246,3 +254,58 @@ def test_w1_orientable_manifolds_vanish():
 def test_w1_projective_plane_nonzero():
     k = rp2_six_vertex()
     assert w1(k, 2) != 0
+
+
+# References that read every cohomology basis through ``cohomology_basis``,
+# so they reduce the coboundaries even of a zero group.
+
+def _cocycle_reps(k, degree):
+    return cohomology_basis(chain_complex(k), degree).representatives.vectors
+
+
+def _reference_cap_matrix(k, n, d):
+    fc = fundamental_class(k, n)
+    hho = homology_basis(chain_complex(k), d)
+    cols = [hho.coordinates(cap(CohomologyClass(k, n - d, rep), fc, n))
+            for rep in _cocycle_reps(k, n - d)]
+    return BitMatrix(hho.dim, len(cols), tuple(cols))
+
+
+def _reference_w1(k, n):
+    fc = fundamental_class(k, n)
+    h1 = _cocycle_reps(k, 1)
+    xs = [CohomologyClass(k, n - 1, x) for x in _cocycle_reps(k, n - 1)]
+    cols = tuple(vec_from_bits(evaluate(cup(CohomologyClass(k, 1, e), x), fc) for x in xs)
+                 for e in h1)
+    return solve(BitMatrix(len(xs), len(h1), cols),
+                 vec_from_bits(evaluate(sq1(x), fc) for x in xs))
+
+
+def _reference_pullback(f, d):
+    tgt = cohomology_basis(chain_complex(f.domain), d)
+    pull = chain_map(f, d).transpose()
+    cols = tuple(tgt.coordinates(pull.matvec(z)) for z in _cocycle_reps(f.codomain, d))
+    return BitMatrix(tgt.dim, len(cols), cols)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("cid", sorted(build_catalog()))
+def test_cohomology_consumers_equal_references_that_reduce_every_group(cid, level):
+    """cap_matrix, w1 and f^* equal the references on every catalog map.
+
+    The product runs first, on fresh complexes, so it reduces only what it
+    needs; the references then reduce every coboundary they read.
+    """
+    f = build_catalog()[cid].map
+    for _ in range(level):
+        f, _, _ = subdivide_map(f)
+    spaces = [(f.domain, f.domain.dim), (f.codomain, f.codomain.dim)]
+    assert all(is_certified_manifold(k, n) for k, n in spaces)
+    caps = {(k.name, d): cap_matrix(k, n, d) for k, n in spaces for d in range(n + 1)}
+    w1s = {k.name: w1(k, n) for k, n in spaces}
+    pullbacks = [induced_on_cohomology(f, d).matrix for d in range(f.domain.dim + 1)]
+    for k, n in spaces:
+        assert w1s[k.name] == _reference_w1(k, n), k.name
+        for d in range(n + 1):
+            assert caps[k.name, d] == _reference_cap_matrix(k, n, d), (k.name, d)
+    assert pullbacks == [_reference_pullback(f, d) for d in range(f.domain.dim + 1)]

@@ -33,7 +33,14 @@ from sepcheck.homology import (
     les_pair_check,
     relative_chain_complex,
 )
-from sepcheck.maps import SimplicialMap, image_subcomplex, self_intersection, subdivide_map
+from sepcheck.maps import (
+    SimplicialMap,
+    chain_map,
+    image_subcomplex,
+    inclusion,
+    self_intersection,
+    subdivide_map,
+)
 from test_complexes import connected_components, euler_characteristic, small_complexes
 from test_gf2 import identity
 
@@ -153,6 +160,18 @@ def test_induced_equator_inclusion_kills_h1():
     f = build_catalog()["equator_s1_s2"].map
     im = induced_on_homology(f, 1)
     assert im.source.dim == 1 and im.matrix.is_zero()  # the equator bounds a cap
+
+
+def test_pullback_into_a_zero_group_reduces_against_the_coboundaries():
+    """H^1 of a triangle is 0, yet a torus cocycle can pull back to a nonzero
+    coboundary on it: the target basis must express it as the zero class."""
+    torus = csaszar_torus()
+    f = inclusion(Subcomplex.closure(torus, [("t1", "t2", "t4")]))
+    pull = chain_map(f, 1).transpose()
+    reps = cohomology_basis(chain_complex(torus), 1).representatives.vectors
+    assert any(pull.matvec(z) for z in reps)
+    im = induced_on_cohomology(f, 1)
+    assert (im.matrix.rows, im.matrix.cols) == (0, 2)
 
 
 def test_les_pair_empty_subcomplex():

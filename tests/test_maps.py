@@ -214,6 +214,15 @@ def test_subdivide_map_is_simplicial_on_catalog():
         assert g.domain is sd_dom and g.codomain is sd_cod
 
 
+def test_subdivide_map_of_a_self_map_subdivides_once():
+    f = build_catalog()["rp2_identity"].map
+    assert f.codomain is f.domain
+    g, sd_dom, sd_cod = subdivide_map(f)
+    assert sd_cod is sd_dom and g.codomain is g.domain
+    h, _, _ = subdivide_map(g)
+    assert h.codomain is h.domain
+
+
 def test_subdivide_map_sends_each_barycenter_to_the_image_barycenter():
     for entry in build_catalog().values():
         f = entry.map
