@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -30,6 +31,11 @@ EXIT_REFUSED = 1
 EXIT_ASSERTION = 2
 EXIT_INPUT = 3
 
+
+def _input_error(e: Exception) -> int:
+    """Report bad input, a path that cannot be read or written included."""
+    print(f"input error: {e}", file=sys.stderr)
+    return EXIT_INPUT
 
 def _load_instance(args) -> SimplicialMap:
     """The map named by ``--entry`` or ``--map``, after ``--subdivide`` subdivisions."""
@@ -96,14 +102,16 @@ def analyze_instance(f: SimplicialMap) -> tuple[dict, int]:
 def cmd_catalog(args) -> int:
     entries = catalog_list()
     if args.dump:
-        import os
-        os.makedirs(args.dump, exist_ok=True)
-        cat = build_catalog()
-        for cid in sorted(cat):
-            entry = cat[cid]
-            for name in sorted(entry.complexes):
-                entry.complexes[name].save(os.path.join(args.dump, f"{name}.complex.json"))
-            entry.map.save(os.path.join(args.dump, f"{cid}.map.json"))
+        try:
+            os.makedirs(args.dump, exist_ok=True)
+            cat = build_catalog()
+            for cid in sorted(cat):
+                entry = cat[cid]
+                for name in sorted(entry.complexes):
+                    entry.complexes[name].save(os.path.join(args.dump, f"{name}.complex.json"))
+                entry.map.save(os.path.join(args.dump, f"{cid}.map.json"))
+        except OSError as e:
+            return _input_error(e)
     print(json.dumps(entries, ensure_ascii=False, indent=2))
     return EXIT_OK
 
@@ -112,13 +120,15 @@ def cmd_analyze(args) -> int:
     try:
         f = _load_instance(args)
     except (ValueError, OSError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(e)
     report, code = analyze_instance(f)
     text = json.dumps(report, ensure_ascii=False, indent=2)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            return _input_error(e)
     print(text)
     return code
 
@@ -127,8 +137,7 @@ def cmd_oracle(args) -> int:
     try:
         f = _load_instance(args)
     except (ValueError, OSError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(e)
     print(json.dumps({"map": f.name, "beta0_oracle": image_components(f)}))
     return EXIT_OK
 
@@ -146,8 +155,7 @@ def cmd_duality_check(args) -> int:
         else:
             raise ValueError("need --entry, --map, or --complex")
     except (ValueError, OSError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(e)
     out = []
     ok = True
     for k, n in targets:

@@ -181,7 +181,7 @@ def w1(k: SimplicialComplex, n: int) -> int:
     v = solve(m, rhs)
     if v is None:
         raise RuntimeError("Wu-class system inconsistent")
-    if kernel_basis(m).dim != 0 and h1:
+    if kernel_basis(m) and h1:
         raise RuntimeError("Wu-class system underdetermined beyond duality kernel")
     return v
 
@@ -189,4 +189,4 @@ def w1(k: SimplicialComplex, n: int) -> int:
 def cohomology_class_is_zero(x: CohomologyClass) -> bool:
     """Zero as a cohomology class (representative is a coboundary)."""
     basis = cohomology_basis(chain_complex(x.complex), x.degree)
-    return basis.is_zero_class(x.cocycle)
+    return basis.coordinates(x.cocycle) == 0

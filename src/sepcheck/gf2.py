@@ -3,8 +3,9 @@
 Matrices store one Python integer per column, bit i of column j being the
 (i, j) entry, so a matrix is built as its columns are computed and column
 operations are single XORs on packed words.  Vectors are plain integers
-with the same bit convention; every routine that needs a vector length
-takes it from the matrix it accompanies.
+with the same bit convention, and a basis of a subspace is a tuple of them;
+every routine that needs a vector length takes it from the matrix it
+accompanies.  An ``Echelon`` keys each row by the index of its pivot bit.
 """
 
 from __future__ import annotations
@@ -88,29 +89,14 @@ class BitMatrix:
         return not any(self.data)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Linearly independent packed vectors spanning a subspace of GF(2)^n."""
-
-    ambient_dim: int
-    vectors: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def span_matrix(self) -> BitMatrix:
-        """Matrix with the basis vectors as columns (ambient_dim x dim)."""
-        return BitMatrix(self.ambient_dim, self.dim, self.vectors)
-
-
 class Echelon:
-    """Rows in echelon form, each keyed by its lowest set bit (its pivot).
+    """Rows in echelon form, each keyed by the index of its lowest set bit.
 
-    The rows need only distinct lowest bits; ``reduce`` clears every pivot
-    bit of a vector in ascending pivot order, so whether it leaves a residue
-    does not depend on insertion order.  With ``track=True`` each
-    row also records, as a packed vector, which inputs were XORed into it;
+    The key j of a row is its pivot: bit j is the row's lowest set bit.  The
+    rows need only distinct pivots; ``reduce`` clears every pivot bit of a
+    vector in ascending pivot order, so whether it leaves a residue does not
+    depend on insertion order.  With ``track=True`` each row also records,
+    as a packed vector, which inputs were XORed into it;
     ``Echelon(vectors, track=True)`` numbers the inputs by position.
     """
 
@@ -126,11 +112,12 @@ class Echelon:
         rest = v
         while rest:
             low = rest & -rest
-            row = rows.get(low)
+            j = low.bit_length() - 1
+            row = rows.get(j)
             if row is not None:
                 v ^= row
                 if combos is not None:
-                    combo ^= combos[low]
+                    combo ^= combos[j]
             rest = v & -(low << 1)  # bits of v above the one just cleared
         return v, combo
 
@@ -138,22 +125,22 @@ class Echelon:
         """Reduce v only while its lowest bit is a pivot, and keep the rest.
 
         A nonzero v is kept once its lowest bit is new, with the bits above
-        it left as they are: the rows need only distinct lowest bits, and on
+        it left as they are: the rows need only distinct pivots, and on
         long vectors that takes far fewer XORs than clearing every pivot
         bit.  Returns the kept row (0 if v reduced to zero) and its combo.
         """
         rows, combos = self.rows, self.combos
         while v:
-            low = v & -v
-            row = rows.get(low)
+            j = (v & -v).bit_length() - 1
+            row = rows.get(j)
             if row is None:
-                rows[low] = v
+                rows[j] = v
                 if combos is not None:
-                    combos[low] = combo
+                    combos[j] = combo
                 break
             v ^= row
             if combos is not None:
-                combo ^= combos[low]
+                combo ^= combos[j]
         return v, combo
 
 
@@ -185,7 +172,7 @@ def solve(m: BitMatrix, b: int) -> int | None:
     return None if residue else x
 
 
-def kernel_basis(m: BitMatrix) -> SubspaceBasis:
+def kernel_basis(m: BitMatrix) -> tuple[int, ...]:
     """Basis of the null space {x : m x = 0}, deterministic order."""
     ech = Echelon(track=True)
     basis = []
@@ -193,13 +180,13 @@ def kernel_basis(m: BitMatrix) -> SubspaceBasis:
         residue, combo = ech.add(col, 1 << j)
         if not residue:
             basis.append(combo)
-    return SubspaceBasis(m.cols, tuple(basis))
+    return tuple(basis)
 
 
-def column_space_basis(m: BitMatrix) -> SubspaceBasis:
+def column_space_basis(m: BitMatrix) -> tuple[int, ...]:
     """Basis of the column space, chosen greedily in column order."""
     ech = Echelon()
-    return SubspaceBasis(m.rows, tuple(c for c in m.data if ech.add(c)[0]))
+    return tuple(c for c in m.data if ech.add(c)[0])
 
 
 def inverse(m: BitMatrix) -> BitMatrix | None:
@@ -302,14 +289,15 @@ def _random_full_rank(rng: random.Random, rows: int, cols: int) -> BitMatrix:
             return m
 
 
-def _random_subspace(rng: random.Random, ambient: int, dim: int) -> SubspaceBasis:
+def _random_subspace(rng: random.Random, ambient: int, dim: int) -> tuple[int, ...]:
+    """dim independent vectors of GF(2)^ambient."""
     while True:
         rows = Echelon(rng.getrandbits(ambient) for _ in range(dim + 2)).rows
         if len(rows) >= dim:
-            return SubspaceBasis(ambient, tuple(rows[p] for p in sorted(rows)[:dim]))
+            return tuple(rows[p] for p in sorted(rows)[:dim])
 
 
-def _quotient_map(ambient: int, sub: SubspaceBasis) -> BitMatrix:
+def _quotient_map(ambient: int, sub: tuple[int, ...]) -> BitMatrix:
     """Projection GF(2)^ambient -> GF(2)^(ambient-dim) with kernel = sub.
 
     Also returns nothing extra; the section used in ladder generation is
@@ -318,17 +306,17 @@ def _quotient_map(ambient: int, sub: SubspaceBasis) -> BitMatrix:
     t, _ = _extend_to_basis(ambient, sub)
     tinv = inverse(t)
     assert tinv is not None
-    return BitMatrix(ambient - sub.dim, ambient, tuple(c >> sub.dim for c in tinv.data))
+    return BitMatrix(ambient - len(sub), ambient, tuple(c >> len(sub) for c in tinv.data))
 
 
-def _extend_to_basis(ambient: int, sub: SubspaceBasis):
+def _extend_to_basis(ambient: int, sub: tuple[int, ...]):
     """Invertible matrix whose first dim(sub) columns span sub.
 
     Returns (T, complement_columns).
     """
-    ech = Echelon(sub.vectors)
+    ech = Echelon(sub)
     extra = [1 << j for j in range(ambient) if ech.add(1 << j)[0]]
-    return BitMatrix(ambient, ambient, sub.vectors + tuple(extra)), extra
+    return BitMatrix(ambient, ambient, sub + tuple(extra)), extra
 
 
 def random_exact_ladder(rng: random.Random) -> LadderDiagram:
@@ -345,13 +333,13 @@ def random_exact_ladder(rng: random.Random) -> LadderDiagram:
 
     dim_ap = v + rng.randint(0, 2)
     p_bot = _random_full_rank(rng, v, dim_ap) if v else BitMatrix.zero(0, dim_ap)
-    bot_a = vbasis.span_matrix().matmul(p_bot)
+    bot_a = BitMatrix(dim_bp, v, vbasis).matmul(p_bot)
 
     kbasis = kernel_basis(bot_a)
-    dim_d = kbasis.dim + rng.randint(0, 2)
-    if kbasis.dim:
-        q = _random_full_rank(rng, kbasis.dim, dim_d)
-        bot_lam = kbasis.span_matrix().matmul(q)
+    dim_d = len(kbasis) + rng.randint(0, 2)
+    if kbasis:
+        q = _random_full_rank(rng, len(kbasis), dim_d)
+        bot_lam = BitMatrix(dim_ap, len(kbasis), kbasis).matmul(q)
     else:
         bot_lam = BitMatrix.zero(dim_ap, dim_d)
 
@@ -361,11 +349,11 @@ def random_exact_ladder(rng: random.Random) -> LadderDiagram:
     ginv = inverse(g)
     assert ginv is not None
     # W = g^{-1}(V) so that g(im a) = im a'.
-    wbasis = SubspaceBasis(dim_bp, tuple(ginv.matvec(x) for x in vbasis.vectors))
+    wbasis = tuple(ginv.matvec(x) for x in vbasis)
 
     dim_a = v + rng.randint(0, 2)
     p_top = _random_full_rank(rng, v, dim_a) if v else BitMatrix.zero(0, dim_a)
-    top_a = wbasis.span_matrix().matmul(p_top)
+    top_a = BitMatrix(dim_bp, v, wbasis).matmul(p_top)
     top_b = _quotient_map(dim_bp, wbasis)
 
     # f solves a' f = g a column by column (consistent since g(W) = V).

@@ -8,18 +8,20 @@ the manifold certificate reads its links off it.  Each chain complex is
 reduced at most once per direction, on first use, and the result is cached
 on it: one clearing reduction of the boundaries for homology and one of the
 coboundaries for cohomology (Chen & Kerber's "twist"; de Silva, Morozov &
-Vejdemo-Johansson for the dual).  Every basis keeps the echelon of its
-representatives and boundaries, so a coordinate is one reduction.  A caller
-that only iterates cocycle representatives reads ``cocycles``, which
-returns none without reducing the coboundaries when the Betti number of
-that degree is 0 (over Z2, dim H^d = dim H_d); expressing a cocycle in a
-basis still needs ``cohomology_basis``.  The chain complex of a
-``SimplicialComplex`` is itself cached on the complex.
+Vejdemo-Johansson for the dual).  A basis is a tuple of representatives
+with the echelon of them and the boundaries, its rows keyed by pivot index,
+so a coordinate is one reduction.  A caller that only iterates cocycle
+representatives reads ``cocycles``, which returns none without reducing the
+coboundaries when the Betti number of that degree is 0 (over Z2,
+dim H^d = dim H_d); expressing a cocycle in a basis still needs
+``cohomology_basis``.  The chain complex of a ``SimplicialComplex`` is
+itself cached on the complex.
 
 All bases are canonical: simplices are indexed in the canonical order of
 their complex (``SimplicialComplex.simplices_of_dim``) and the reduction is
-deterministic, so representatives and induced-map matrices are reproducible
-across runs.
+deterministic, so representatives and induced maps are reproducible across
+runs.  An induced map is a ``BitMatrix`` whose column i holds the
+coordinates of the image of source representative i.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .gf2 import BitMatrix, Echelon, SubspaceBasis, exact_at
+from .gf2 import BitMatrix, Echelon, exact_at
 from .complexes import Simplex, SimplicialComplex, Subcomplex, memo
 from .maps import chain_map, inclusion
 
@@ -123,20 +125,19 @@ def relative_chain_complex(k: SimplicialComplex, l: Subcomplex) -> ChainComplexZ
 
 @dataclass
 class HomologyBasis:
-    """Cycle representatives spanning H_degree, with coordinate solving.
+    """Cycle representatives spanning a homology group, with coordinate solving.
 
     ``echelon`` holds the representatives and the boundaries, each row
-    keyed by its lowest bit; a representative's row records its own
+    keyed by its pivot index; a representative's row records its own
     coordinate and a boundary's records 0.
     """
 
-    degree: int
-    representatives: SubspaceBasis
+    representatives: tuple[int, ...]
     echelon: Echelon = field(default_factory=lambda: Echelon(track=True))
 
     @property
     def dim(self) -> int:
-        return self.representatives.dim
+        return len(self.representatives)
 
     def coordinates(self, z: int) -> int:
         """Class of the cycle z in this basis (packed vector of length dim).
@@ -148,9 +149,6 @@ class HomologyBasis:
             raise ValueError("vector is not a cycle representative in this group")
         return x
 
-    def is_zero_class(self, z: int) -> bool:
-        return self.coordinates(z) == 0
-
 
 @memo
 def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBasis]:
@@ -161,13 +159,13 @@ def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBas
     of d_{d+1} is column i of delta^d) from the bottom up.  Within a degree
     the columns are visited in decreasing index order, each reduced only
     while its lowest bit is a pivot (``Echelon.add``), and column j is
-    skipped when bit j is the lowest bit of a reduced column of the step
-    before: that reduced column is a (co)cycle whose bit j is its lowest,
-    so column j is a sum of columns with larger index, already reduced, and
-    would reduce to zero (Chen & Kerber's clearing).  The tracked
-    combinations of the other zero columns are the representatives; each
-    has its own column as lowest bit, distinct from the lowest bits of the
-    reduced columns of the step before, which span the (co)boundaries.
+    skipped when j is the pivot of a reduced column of the step before:
+    that reduced column is a (co)cycle whose bit j is its lowest, so column
+    j is a sum of columns with larger index, already reduced, and would
+    reduce to zero (Chen & Kerber's clearing).  The tracked combinations of
+    the other zero columns are the representatives; each has its own column
+    as pivot, distinct from the pivots of the reduced columns of the step
+    before, which span the (co)boundaries.
     """
     bases: list[HomologyBasis] = [None] * (c.dim + 1)
     boundaries = Echelon()  # reduced columns of the step before
@@ -175,9 +173,7 @@ def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBas
         n = c.size(d)
         # column i of delta^d packs the cofacets of simplex i
         cols = list(map(_pack, c.cofacets()[d])) if cohomology else c.boundary_map(d).data
-        # column indices, not the pivots 1 << j: building and hashing a
-        # j-bit int per column made analyze at Sd^2 about 12% slower
-        cleared = {low.bit_length() - 1 for low in boundaries.rows}
+        cleared = boundaries.rows
         ech = Echelon(track=True)
         reps = []
         for j in range(n - 1, -1, -1):
@@ -187,31 +183,27 @@ def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBas
                     reps.append(combo)
         reps.reverse()
         basis = Echelon(track=True)
-        basis.rows.update(boundaries.rows)
-        basis.combos.update(dict.fromkeys(boundaries.rows, 0))
+        basis.rows.update(cleared)
+        basis.combos.update(dict.fromkeys(cleared, 0))
         for i, z in enumerate(reps):
-            basis.rows[z & -z] = z
-            basis.combos[z & -z] = 1 << i
-        bases[d] = HomologyBasis(d, SubspaceBasis(n, tuple(reps)), basis)
+            j = (z & -z).bit_length() - 1
+            basis.rows[j] = z
+            basis.combos[j] = 1 << i
+        bases[d] = HomologyBasis(tuple(reps), basis)
         boundaries = ech
     return bases
 
 
-def _empty_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
-    n = c.size(max(degree, 0))
-    return HomologyBasis(degree, SubspaceBasis(n, ()))
-
-
 def homology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     if degree < 0 or degree > c.dim:
-        return _empty_basis(c, degree)
+        return HomologyBasis(())
     return _clearing_reduction(c, False)[degree]
 
 
 def cohomology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     """Cocycle representatives, from the reduction of the coboundaries."""
     if degree < 0 or degree > c.dim:
-        return _empty_basis(c, degree)
+        return HomologyBasis(())
     return _clearing_reduction(c, True)[degree]
 
 
@@ -241,35 +233,29 @@ def cocycles(k: SimplicialComplex, degree: int) -> tuple[int, ...]:
     """
     if betti(k, degree) == 0:
         return ()
-    return cohomology_basis(chain_complex(k), degree).representatives.vectors
-
-
-@dataclass
-class InducedMap:
-    source: SubspaceBasis  # the representatives whose images are the columns
-    target: HomologyBasis
-    matrix: BitMatrix  # target.dim x source.dim
-
-    def apply(self, coords: int) -> int:
-        return self.matrix.matvec(coords)
+    return cohomology_basis(chain_complex(k), degree).representatives
 
 
 def induced_map_from_chain_matrix(
-    f_chain: BitMatrix, source: SubspaceBasis, target: HomologyBasis,
-) -> InducedMap:
-    """Induced map on (co)homology given the chain-level matrix."""
-    cols = tuple(target.coordinates(f_chain.matvec(z)) for z in source.vectors)
-    return InducedMap(source, target, BitMatrix(target.dim, source.dim, cols))
+    f_chain: BitMatrix, source: tuple[int, ...], target: HomologyBasis,
+) -> BitMatrix:
+    """Induced map on (co)homology given the chain-level matrix.
+
+    Column i holds the coordinates in ``target`` of the image of the
+    representative ``source[i]``.
+    """
+    cols = tuple(target.coordinates(f_chain.matvec(z)) for z in source)
+    return BitMatrix(target.dim, len(source), cols)
 
 
-def induced_on_homology(f, degree: int) -> InducedMap:
+def induced_on_homology(f, degree: int) -> BitMatrix:
     """f_*: H_degree(domain) -> H_degree(codomain) for a simplicial map."""
     src = homology_basis(chain_complex(f.domain), degree)
     tgt = homology_basis(chain_complex(f.codomain), degree)
     return induced_map_from_chain_matrix(chain_map(f, degree), src.representatives, tgt)
 
 
-def induced_on_cohomology(f, degree: int) -> InducedMap:
+def induced_on_cohomology(f, degree: int) -> BitMatrix:
     """f^*: H^degree(codomain) -> H^degree(domain); transpose construction.
 
     The source is only iterated, so it is read through ``cocycles``; the
@@ -277,9 +263,8 @@ def induced_on_cohomology(f, degree: int) -> InducedMap:
     domain, so it is the full ``cohomology_basis``.
     """
     pull = chain_map(f, degree).transpose()
-    src = SubspaceBasis(pull.cols, cocycles(f.codomain, degree))
     tgt = cohomology_basis(chain_complex(f.domain), degree)
-    return induced_map_from_chain_matrix(pull, src, tgt)
+    return induced_map_from_chain_matrix(pull, cocycles(f.codomain, degree), tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +282,7 @@ def connecting_map(source: HomologyBasis, lift, boundary: BitMatrix, read,
     it) and expressed in ``target``.
     """
     cols = []
-    for z in source.representatives.vectors:
+    for z in source.representatives:
         zk = 0
         for i, a in enumerate(lift):
             if (z >> i) & 1 and a is not None:
@@ -336,11 +321,10 @@ def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:
     # 0 -> H_D(L) -> H_D(K) -> H_D(K,L) -> H_{D-1}(L) -> ... -> H_0(K,L) -> 0
     maps = [BitMatrix.zero(homology_basis(cl, k.dim).dim, 0)]
     for d in range(k.dim, -1, -1):
-        i_star = induced_on_homology(i, d)
-        h_rel = homology_basis(crel, d)
         proj = _projection_chain_matrix(k, crel, d)
-        maps += [i_star.matrix,
-                 induced_map_from_chain_matrix(proj, i_star.target.representatives, h_rel).matrix]
+        h_rel = homology_basis(crel, d)
+        maps += [induced_on_homology(i, d),
+                 induced_map_from_chain_matrix(proj, homology_basis(ck, d).representatives, h_rel)]
         if d > 0:
             kindex, lindex = k.simplex_index(d), i.domain.simplex_index(d - 1)
             maps.append(connecting_map(

@@ -183,13 +183,6 @@ def inclusion(sub: Subcomplex, name: str | None = None) -> SimplicialMap:
                          {v: v for v in dom.vertices})
 
 
-def map_into(domain_complex: SimplicialComplex, codomain: SimplicialComplex,
-             name: str = "incl") -> SimplicialMap:
-    """Identity-on-labels map between complexes sharing vertex labels."""
-    return SimplicialMap(name, domain_complex, codomain,
-                         {v: v for v in domain_complex.vertices})
-
-
 def subdivide_map(f: SimplicialMap):
     """Induced simplicial map Sd(domain) -> Sd(codomain) on barycenters.
 

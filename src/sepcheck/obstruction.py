@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .gf2 import BitMatrix, SubspaceBasis, exact_at, kernel_basis, rank, solve
+from .gf2 import BitMatrix, exact_at, kernel_basis, rank, solve
 from .complexes import is_certified_manifold, memo
 from .duality import cap_matrix, fundamental_class, poincare_dual, w1
 from .homology import (
     HomologyBasis,
-    InducedMap,
     betti,
     chain_complex,
     connecting_map,
@@ -27,7 +26,6 @@ from .homology import (
 from .maps import (
     SimplicialMap,
     image_complex,
-    map_into,
     self_intersection,
     self_intersection_maps,
 )
@@ -37,24 +35,6 @@ from .separation import (
     _require_positive_codim1,
     image_components,
 )
-
-
-@dataclass
-class AffineSolutionSet:
-    """Particular solution plus kernel basis of a GF(2) affine system."""
-
-    space_dim: int
-    particular: int | None
-    kernel: SubspaceBasis
-
-    @property
-    def solvable(self) -> bool:
-        return self.particular is not None
-
-    def has_nonzero(self) -> bool:
-        if not self.solvable:
-            return False
-        return self.particular != 0 or self.kernel.dim > 0
 
 
 @dataclass
@@ -80,11 +60,11 @@ def dual_class_Uf(f: SimplicialMap) -> int:
     """Poincare dual in the codomain of f_*[M], as H^1(codomain) coordinates."""
     m = _require_codim1_certificates(f)
     fm = homology_basis(chain_complex(f.domain), m).coordinates(fundamental_class(f.domain, m))
-    return poincare_dual(f.codomain, m + 1, induced_on_homology(f, m).apply(fm), m)
+    return poincare_dual(f.codomain, m + 1, induced_on_homology(f, m).matvec(fm), m)
 
 
 @memo
-def _h1_pullback(f: SimplicialMap) -> InducedMap:
+def _h1_pullback(f: SimplicialMap) -> BitMatrix:
     """f^*: H^1(codomain) -> H^1(domain), shared by w1_of_map and theta."""
     return induced_on_cohomology(f, 1)
 
@@ -101,33 +81,35 @@ def w1_of_map(f: SimplicialMap) -> int:
     n = f.codomain.dim
     if not (is_certified_manifold(f.domain, m) and is_certified_manifold(f.codomain, n)):
         raise HypothesisError("closed_manifold_certificates")
-    return _h1_pullback(f).apply(w1(f.codomain, n)) ^ w1(f.domain, m)
+    return _h1_pullback(f).matvec(w1(f.codomain, n)) ^ w1(f.domain, m)
 
 
 @memo
 def theta(f: SimplicialMap) -> int:
     """Primary obstruction (f^* U_f + w1(f)) cap [M], as H_{m-1}(M) coordinates."""
     m = _require_positive_codim1(f)
-    total = _h1_pullback(f).apply(dual_class_Uf(f)) ^ w1_of_map(f)
+    total = _h1_pullback(f).matvec(dual_class_Uf(f)) ^ w1_of_map(f)
     return cap_matrix(f.domain, m, m - 1).matvec(total)
 
 
 def theta_pushforward_check(f: SimplicialMap) -> bool:
     """f_* theta(f) vanishes; a failure here is a bug, not a finding."""
     m = _require_positive_codim1(f)
-    return induced_on_homology(f, m - 1).apply(theta(f)) == 0
+    return induced_on_homology(f, m - 1).matvec(theta(f)) == 0
 
 
 def _restriction_system(f: SimplicialMap, d: int) -> tuple[BitMatrix, HomologyBasis]:
     """j_* stacked on (f|_A)_*: H_d(A) -> H_d(M) + H_d(B), and the basis of H_d(A)."""
     j, f_a = self_intersection_maps(f)
-    system = induced_on_homology(j, d).matrix.vstack(induced_on_homology(f_a, d).matrix)
+    system = induced_on_homology(j, d).vstack(induced_on_homology(f_a, d))
     return system, homology_basis(chain_complex(j.domain), d)
 
 
-def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutionSet:
+def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Solve j_* mu = theta(f), (f|_A)_* mu = 0 over H_{m-1}(A;Z2).
 
+    Returns a particular solution and a basis of the kernel of the system,
+    both in the canonical H_{m-1}(A) basis; an unsolvable system raises.
     ``theta_coords`` (in the canonical H_{m-1}(domain) basis) may be given
     explicitly; by default it is computed from the obstruction class.
     """
@@ -137,12 +119,12 @@ def mu_solve(f: SimplicialMap, theta_coords: int | None = None) -> AffineSolutio
     if self_intersection(f).A.is_empty():
         if theta_coords != 0:
             raise AssertionError("empty self-intersection with nonzero obstruction")
-        return AffineSolutionSet(0, 0, SubspaceBasis(0, ()))
-    system, h_a = _restriction_system(f, m - 1)
+        return 0, ()
+    system, _ = _restriction_system(f, m - 1)
     particular = solve(system, theta_coords)  # rhs: theta then zeros
     if particular is None:
         raise AssertionError("obstruction localization system unsolvable")
-    return AffineSolutionSet(h_a.dim, particular, kernel_basis(system))
+    return particular, kernel_basis(system)
 
 
 def cor317_check(f: SimplicialMap) -> bool:
@@ -169,14 +151,15 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
     incl, f_a = self_intersection_maps(f)
     img_cx = image_complex(f)
     M = f.domain
-    jpp = map_into(f_a.codomain, img_cx, "j''")
+    b = f_a.codomain
+    jpp = SimplicialMap("j''", b, img_cx, {v: v for v in b.vertices})
     fbar = SimplicialMap("fbar", M, img_cx, f.vertex_map)
 
     alpha_m, _ = _restriction_system(f, m)
     alpha_m1, ha_m1 = _restriction_system(f, m - 1)
     fbar_m = induced_on_homology(fbar, m)
-    beta_m = fbar_m.matrix.hstack(induced_on_homology(jpp, m).matrix)
-    hi_m = fbar_m.target
+    beta_m = fbar_m.hstack(induced_on_homology(jpp, m))
+    hi_m = homology_basis(chain_complex(img_cx), m)
 
     # chain-level excision bijection on relative m-simplices: a cycle on
     # f(M) is projected to relative chains and pulled back to M
@@ -197,7 +180,7 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
     return {
         "exact": exact_at(alpha_m, beta_m) and exact_at(beta_m, delta)
         and exact_at(delta, alpha_m1),
-        "fbar_surjective": rank(fbar_m.matrix) == hi_m.dim,
+        "fbar_surjective": rank(fbar_m) == hi_m.dim,
         "ker_alpha_dim": ha_m1.dim - rank(alpha_m1),
     }
 
@@ -225,16 +208,17 @@ def obstruction_summary(f: SimplicialMap) -> ObstructionReport:
     w1f_zero = w1_of_map(f) == 0
     th = theta(f)
     push_ok = theta_pushforward_check(f)
-    mu = mu_solve(f, th)
+    particular, kernel = mu_solve(f, th)
+    exists_nonzero_mu = particular != 0 or bool(kernel)
     a_proper = self_intersection(f).A.simplices != f.domain.simplices
     dim_hm_image = betti(image_complex(f), m)
     oracle = image_components(f)
-    predicate = a_proper and mu.has_nonzero() and w1f_zero
+    predicate = a_proper and exists_nonzero_mu and w1f_zero
     if predicate:
         assert oracle >= 3, "three-components conclusion violated"
     return ObstructionReport(
         theta_is_zero=(th == 0), theta_pushforward_zero=push_ok,
-        exists_nonzero_mu=mu.has_nonzero(), predicate_thm_final=predicate,
+        exists_nonzero_mu=exists_nonzero_mu, predicate_thm_final=predicate,
         beta0_oracle=oracle, dim_Hm_image=dim_hm_image, A_proper=a_proper,
         Uf_is_zero=uf_zero, w1f_is_zero=w1f_zero,
     )

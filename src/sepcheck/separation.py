@@ -167,8 +167,7 @@ def beta0_formula_thm32(f: SimplicialMap) -> SeparationReport:
     else:
         # (i^*, f|_A^*): H^{n-1}(X) + H^{n-1}(f(A)) -> H^{n-1}(A), one stacked matrix
         incl, f_a = self_intersection_maps(f)
-        block = induced_on_cohomology(incl, n - 1).matrix.hstack(
-            induced_on_cohomology(f_a, n - 1).matrix)
+        block = induced_on_cohomology(incl, n - 1).hstack(induced_on_cohomology(f_a, n - 1))
         coker = block.rows - rank(block)
     formula = 2 + coker
     oracle = image_components(f)

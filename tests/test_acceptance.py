@@ -180,7 +180,7 @@ def test_criterion_7_obstruction_pipeline():
         if self_intersection(f).is_embedding:
             assert th == 0, cid
         assert theta_pushforward_check(f), cid
-        assert mu_solve(f, th).solvable, cid
+        mu_solve(f, th)  # raises if the localization system is unsolvable
 
     orientable = [("hexagon", 1), ("octahedron", 2), ("csaszar_torus", 2),
                   ("cross_polytope_s3", 3)]
@@ -192,7 +192,7 @@ def test_criterion_7_obstruction_pipeline():
         assert w1(builders[name](), n) == 0, name
     rp2 = cat_mod.rp2_six_vertex()
     assert w1(rp2, 2) != 0
-    gen = cohomology_basis(chain_complex(rp2), 1).representatives.vectors[0]
+    gen = cohomology_basis(chain_complex(rp2), 1).representatives[0]
     assert not cohomology_class_is_zero(sq1(CohomologyClass(rp2, 1, gen)))
     assert w1_of_map(CATALOG["rp2_essential_circle"].map) != 0
 

@@ -172,6 +172,19 @@ def test_cli_two_complexes_with_one_name_are_input_error(tmp_path, capsys, order
         "", "input error: two --complex files define a complex named 'p'\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--entry", "equator_s1_s2", "--json", "{f}/x.json"],
+    ["catalog", "--dump", "{f}/sub"],
+])
+def test_cli_unwritable_output_path_is_input_error(tmp_path, capsys, argv):
+    f = tmp_path / "f"
+    f.write_text("a regular file, not a directory\n")
+    code = main([a.format(f=f) for a in argv])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_cli_negative_subdivide_is_input_error(capsys):
     code = main(["oracle", "--entry", "equator_s1_s2", "--subdivide", "-1"])
     assert code == EXIT_INPUT

@@ -46,7 +46,7 @@ def unit_class(k):
 
 def h_generators(k, degree):
     basis = cohomology_basis(chain_complex(k), degree)
-    return [CohomologyClass(k, degree, r) for r in basis.representatives.vectors]
+    return [CohomologyClass(k, degree, r) for r in basis.representatives]
 
 
 def test_fundamental_class_examples():
@@ -55,11 +55,11 @@ def test_fundamental_class_examples():
     fc2 = fundamental_class(octahedron(), 2)
     assert bin(fc2).count("1") == 8
     h2 = homology_basis(chain_complex(octahedron()), 2)
-    assert h2.dim == 1 and not h2.is_zero_class(fc2)
+    assert h2.dim == 1 and h2.coordinates(fc2) != 0
     fct = fundamental_class(csaszar_torus(), 2)
     assert bin(fct).count("1") == 14
     ht = homology_basis(chain_complex(csaszar_torus()), 2)
-    assert not ht.is_zero_class(fct)
+    assert ht.coordinates(fct) != 0
 
 
 def test_is_cocycle_agrees_with_the_transposed_boundary_on_the_catalog():
@@ -69,7 +69,7 @@ def test_is_cocycle_agrees_with_the_transposed_boundary_on_the_catalog():
         c = chain_complex(k)
         for d in range(k.dim + 1):
             coboundary = c.boundary_map(d + 1).transpose()
-            reps = cohomology_basis(c, d).representatives.vectors
+            reps = cohomology_basis(c, d).representatives
             assert all(is_cocycle(CohomologyClass(k, d, x)) for x in reps), (k.name, d)
             for x in reps + tuple(1 << j for j in range(c.size(d))):
                 assert is_cocycle(CohomologyClass(k, d, x)) == (coboundary.matvec(x) == 0)
@@ -132,7 +132,7 @@ def test_cap_circle_duality():
     x = h_generators(k, 1)[0]
     z = cap(x, fc, 1)
     h0 = homology_basis(chain_complex(k), 0)
-    assert not h0.is_zero_class(z)
+    assert h0.coordinates(z) != 0
 
 
 def test_cup_cap_adjunction_random_triples():
@@ -260,7 +260,7 @@ def test_w1_projective_plane_nonzero():
 # so they reduce the coboundaries even of a zero group.
 
 def _cocycle_reps(k, degree):
-    return cohomology_basis(chain_complex(k), degree).representatives.vectors
+    return cohomology_basis(chain_complex(k), degree).representatives
 
 
 def _reference_cap_matrix(k, n, d):
@@ -303,7 +303,7 @@ def test_cohomology_consumers_equal_references_that_reduce_every_group(cid, leve
     assert all(is_certified_manifold(k, n) for k, n in spaces)
     caps = {(k.name, d): cap_matrix(k, n, d) for k, n in spaces for d in range(n + 1)}
     w1s = {k.name: w1(k, n) for k, n in spaces}
-    pullbacks = [induced_on_cohomology(f, d).matrix for d in range(f.domain.dim + 1)]
+    pullbacks = [induced_on_cohomology(f, d) for d in range(f.domain.dim + 1)]
     for k, n in spaces:
         assert w1s[k.name] == _reference_w1(k, n), k.name
         for d in range(n + 1):

@@ -97,7 +97,7 @@ def test_homology_representatives_are_cycles():
         c = chain_complex(k)
         for d in range(k.dim + 1):
             h = homology_basis(c, d)
-            for z in h.representatives.vectors:
+            for z in h.representatives:
                 assert c.boundary_map(d).matvec(z) == 0
 
 
@@ -144,22 +144,22 @@ def test_induced_identity_is_identity():
     f = SimplicialMap("id", k, k, {v: v for v in k.vertices})
     for d in range(3):
         im = induced_on_homology(f, d)
-        assert im.matrix == identity(im.source.dim)
+        assert im == identity(im.cols)
         imc = induced_on_cohomology(f, d)
-        assert imc.matrix == identity(imc.source.dim)
+        assert imc == identity(imc.cols)
 
 
 def test_induced_double_wrap_kills_h1():
     f = build_catalog()["double_wrap_s1"].map
     im = induced_on_homology(f, 1)
-    assert (im.source.dim, im.target.dim) == (1, 1)
-    assert im.matrix.is_zero()  # wrapping twice is zero mod 2
+    assert (im.cols, im.rows) == (1, 1)
+    assert im.is_zero()  # wrapping twice is zero mod 2
 
 
 def test_induced_equator_inclusion_kills_h1():
     f = build_catalog()["equator_s1_s2"].map
     im = induced_on_homology(f, 1)
-    assert im.source.dim == 1 and im.matrix.is_zero()  # the equator bounds a cap
+    assert im.cols == 1 and im.is_zero()  # the equator bounds a cap
 
 
 def test_pullback_into_a_zero_group_reduces_against_the_coboundaries():
@@ -168,10 +168,10 @@ def test_pullback_into_a_zero_group_reduces_against_the_coboundaries():
     torus = csaszar_torus()
     f = inclusion(Subcomplex.closure(torus, [("t1", "t2", "t4")]))
     pull = chain_map(f, 1).transpose()
-    reps = cohomology_basis(chain_complex(torus), 1).representatives.vectors
+    reps = cohomology_basis(chain_complex(torus), 1).representatives
     assert any(pull.matvec(z) for z in reps)
     im = induced_on_cohomology(f, 1)
-    assert (im.matrix.rows, im.matrix.cols) == (0, 2)
+    assert (im.rows, im.cols) == (0, 2)
 
 
 def test_les_pair_empty_subcomplex():
@@ -254,7 +254,7 @@ def test_les_pair_on_the_pairs_of_the_paper(k, l):
 def basis_vector(basis, coords):
     """The sum of the representatives picked by coords."""
     out = 0
-    for i, r in enumerate(basis.representatives.vectors):
+    for i, r in enumerate(basis.representatives):
         if (coords >> i) & 1:
             out ^= r
     return out
@@ -267,10 +267,9 @@ def test_coordinates_roundtrip():
     for coords in range(1, 4):
         z = basis_vector(h1, coords)
         assert h1.coordinates(z) == coords
-        assert not h1.is_zero_class(z)
     # a boundary is the zero class
     b = c.boundary_map(2).matvec(1)
-    assert h1.is_zero_class(b)
+    assert h1.coordinates(b) == 0
 
 
 def test_coordinates_rejects_non_cycles():
@@ -291,20 +290,20 @@ def _reference_dims(c, degree, cohomology):
     up, down = c.boundary_map(degree + 1), c.boundary_map(degree)
     cycles, bounds = ((kernel_basis(up.transpose()), column_space_basis(down.transpose()))
                       if cohomology else (kernel_basis(down), column_space_basis(up)))
-    ech = Echelon(bounds.vectors)
-    return sum(1 for z in cycles.vectors if ech.add(z)[0])
+    ech = Echelon(bounds)
+    return sum(1 for z in cycles if ech.add(z)[0])
 
 
 def _assert_basis_is_sound(c, degree, cohomology):
     basis = (cohomology_basis if cohomology else homology_basis)(c, degree)
     # a (co)cycle is killed by the outgoing (co)boundary
     out = c.boundary_map(degree + 1).transpose() if cohomology else c.boundary_map(degree)
-    reps = basis.representatives.vectors
+    reps = basis.representatives
     for z in reps:
         assert out.matvec(z) == 0
     # independent modulo the (co)boundaries: the echelon rows whose combo is 0
     rows, combos = basis.echelon.rows, basis.echelon.combos
-    ech = Echelon(row for low, row in rows.items() if not combos[low])
+    ech = Echelon(row for j, row in rows.items() if not combos[j])
     assert all(ech.add(z)[0] for z in reps)
     for i, z in enumerate(reps):
         assert basis.coordinates(z) == 1 << i
