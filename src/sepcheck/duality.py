@@ -25,6 +25,7 @@ from .homology import (
     cocycles,
     cohomology_basis,
     homology_basis,
+    odd_faces,
     relative_chain_complex,
     betti_numbers,
 )
@@ -38,9 +39,10 @@ class CohomologyClass:
 
 
 def is_cocycle(x: CohomologyClass) -> bool:
-    """delta x = 0: x vanishes on the boundary of every (degree+1)-simplex."""
-    boundary = chain_complex(x.complex).boundary_map(x.degree + 1)
-    return not any(dot(col, x.cocycle) for col in boundary.data)
+    """delta x = 0: the cofacet lists of the simplices that x selects name
+    every (degree+1)-simplex an even number of times."""
+    c = chain_complex(x.complex)
+    return x.degree >= c.dim or not odd_faces(c.cofacets()[x.degree], x.cocycle)
 
 
 @memo
@@ -53,8 +55,7 @@ def fundamental_class(k: SimplicialComplex, n: int) -> int:
     if not is_certified_manifold(k, n):
         raise ValueError(f"{k.name} is not a certified closed {n}-manifold")
     chain = (1 << len(k.simplices_of_dim(n))) - 1
-    assert chain_complex(k).boundary_map(n).matvec(chain) == 0, \
-        "fundamental chain is not a cycle"
+    assert not odd_faces(chain_complex(k).facets[n], chain), "fundamental chain is not a cycle"
     return chain
 
 

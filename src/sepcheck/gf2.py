@@ -93,9 +93,7 @@ class Echelon:
     """Rows in echelon form, each keyed by the index of its lowest set bit.
 
     The key j of a row is its pivot: bit j is the row's lowest set bit.  The
-    rows need only distinct pivots; ``reduce`` clears every pivot bit of a
-    vector in ascending pivot order, so whether it leaves a residue does not
-    depend on insertion order.  With ``track=True`` each row also records,
+    rows need only distinct pivots.  With ``track=True`` each row also records,
     as a packed vector, which inputs were XORed into it;
     ``Echelon(vectors, track=True)`` numbers the inputs by position.
     """
@@ -105,21 +103,6 @@ class Echelon:
         self.combos: dict[int, int] | None = {} if track else None
         for i, v in enumerate(vectors):
             self.add(v, 1 << i if track else 0)
-
-    def reduce(self, v: int, combo: int = 0) -> tuple[int, int]:
-        """Residue of v against the rows, and combo XOR the combos used."""
-        rows, combos = self.rows, self.combos
-        rest = v
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            row = rows.get(j)
-            if row is not None:
-                v ^= row
-                if combos is not None:
-                    combo ^= combos[j]
-            rest = v & -(low << 1)  # bits of v above the one just cleared
-        return v, combo
 
     def add(self, v: int, combo: int = 0) -> tuple[int, int]:
         """Reduce v only while its lowest bit is a pivot, and keep the rest.
@@ -168,7 +151,9 @@ def solve(m: BitMatrix, b: int) -> int | None:
     """
     if b >> m.rows:
         raise ValueError("right-hand side longer than row count")
-    residue, x = Echelon(m.data, track=True).reduce(b)
+    # the rows have distinct pivots, so b is at most one sum of them, and
+    # ``add`` reduces b to zero exactly when it is in their span
+    residue, x = Echelon(m.data, track=True).add(b)
     return None if residue else x
 
 
@@ -190,17 +175,11 @@ def column_space_basis(m: BitMatrix) -> tuple[int, ...]:
 
 
 def inverse(m: BitMatrix) -> BitMatrix | None:
-    """Inverse of a square matrix, or None if singular."""
-    if m.rows != m.cols:
+    """Inverse of a square matrix, or None if singular: one echelon of its columns."""
+    ech = Echelon(m.data, track=True)
+    if m.rows != m.cols or len(ech.rows) < m.rows:
         return None
-    n = m.rows
-    cols = []
-    for j in range(n):
-        x = solve(m, 1 << j)
-        if x is None:
-            return None
-        cols.append(x)
-    return BitMatrix(n, n, tuple(cols))
+    return BitMatrix(m.rows, m.cols, tuple(ech.add(1 << j)[1] for j in range(m.rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,17 @@ A chain complex keeps the facet index list of every simplex: its boundary
 columns are packed from them, and d d = 0 is checked by XORing, for each
 simplex, the columns its list names.  Their transpose, the cofacet lists,
 is built once on first use; the coboundary columns are packed from it, and
-the manifold certificate reads its links off it.  Each chain complex is
-reduced at most once per direction, on first use, and the result is cached
-on it: one clearing reduction of the boundaries for homology and one of the
-coboundaries for cohomology (Chen & Kerber's "twist"; de Silva, Morozov &
-Vejdemo-Johansson for the dual).  A basis is a tuple of representatives
-with the echelon of them and the boundaries, its rows keyed by pivot index,
-so a coordinate is one reduction.  A caller that only iterates cocycle
-representatives reads ``cocycles``, which returns none without reducing the
-coboundaries when the Betti number of that degree is 0 (over Z2,
-dim H^d = dim H_d); expressing a cocycle in a basis still needs
-``cohomology_basis``.  The chain complex of a ``SimplicialComplex`` is
-itself cached on the complex.
+the manifold certificate reads its links off it.  Each degree is reduced at
+most once per direction, on first use, keeping only its representatives
+and pivot indices: a clearing reduction of the boundaries for homology and
+of the coboundaries for cohomology (Chen & Kerber's "twist"; de Silva,
+Morozov & Vejdemo-Johansson for the dual).  A basis inverts the Kronecker
+pairing of its representatives with those of the other direction into
+duals, so a coordinate is one dot product per dual, and a pairing that is
+not invertible fails an assertion.  A caller that only iterates cocycle
+representatives reads ``cocycles``, which reduces nothing when the Betti
+number of that degree is 0 (over Z2, dim H^d = dim H_d).  The chain complex
+of a ``SimplicialComplex`` is itself cached on the complex.
 
 All bases are canonical: simplices are indexed in the canonical order of
 their complex (``SimplicialComplex.simplices_of_dim``) and the reduction is
@@ -26,10 +25,10 @@ coordinates of the image of source representative i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, compress
 
-from .gf2 import BitMatrix, Echelon, exact_at
+from .gf2 import BitMatrix, Echelon, dot, exact_at, inverse, vec_from_bits
 from .complexes import Simplex, SimplicialComplex, Subcomplex, memo
 from .maps import chain_map, inclusion
 
@@ -40,6 +39,19 @@ def _pack(indices) -> int:
     for i in indices:
         v |= 1 << i
     return v
+
+
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def odd_faces(lists, z: int) -> set[int]:
+    """The indices named an odd number of times by the lists that z selects:
+    none when z is a cycle (facet lists) or a cocycle (cofacet lists).  One
+    ``bin`` string of z keeps it linear; a ``z & -z`` loop is quadratic."""
+    odd = set()
+    for f in compress(lists, bin(z)[:1:-1].encode().translate(_BIT)):
+        odd.symmetric_difference_update(f)
+    return odd
 
 
 class ChainComplexZ2:
@@ -125,91 +137,100 @@ def relative_chain_complex(k: SimplicialComplex, l: Subcomplex) -> ChainComplexZ
 
 @dataclass
 class HomologyBasis:
-    """Cycle representatives spanning a homology group, with coordinate solving.
+    """(Co)cycle representatives spanning a (co)homology group, and their duals.
 
-    ``echelon`` holds the representatives and the boundaries, each row
-    keyed by its pivot index; a representative's row records its own
-    coordinate and a boundary's records 0.
+    ``duals[i]`` pairs to 1 with ``representatives[i]``, and to 0 with the
+    other representatives and with every (co)boundary.  ``lists`` are the
+    facet lists of the degree (the cofacet lists for cohomology).
     """
 
     representatives: tuple[int, ...]
-    echelon: Echelon = field(default_factory=lambda: Echelon(track=True))
+    duals: tuple[int, ...]
+    lists: list[tuple[int, ...]]
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
     def coordinates(self, z: int) -> int:
-        """Class of the cycle z in this basis (packed vector of length dim).
+        """Class of the (co)cycle z in this basis (packed vector of length dim).
 
-        Raises if z is not in the cycle-plus-boundary span.
+        Raises if z is wider than the degree or is not a (co)cycle.
         """
-        residue, x = self.echelon.reduce(z)
-        if residue:
+        if z >> len(self.lists) or odd_faces(self.lists, z):
             raise ValueError("vector is not a cycle representative in this group")
-        return x
+        return vec_from_bits(dot(x, z) for x in self.duals)
 
 
 @memo
-def _clearing_reduction(c: ChainComplexZ2, cohomology: bool) -> list[HomologyBasis]:
-    """(Co)homology bases of every degree from one reduction with clearing.
+def _clearing_reduction(c: ChainComplexZ2, cohomology: bool, d: int) -> tuple:
+    """(Co)cycle representatives of degree d, and the pivots of its reduced columns.
 
-    Homology reduces the columns of d_D, ..., d_1 from the top down and
-    cohomology the columns of the coboundaries delta^0, ..., delta^D (row i
-    of d_{d+1} is column i of delta^d) from the bottom up.  Within a degree
-    the columns are visited in decreasing index order, each reduced only
-    while its lowest bit is a pivot (``Echelon.add``), and column j is
-    skipped when j is the pivot of a reduced column of the step before:
-    that reduced column is a (co)cycle whose bit j is its lowest, so column
-    j is a sum of columns with larger index, already reduced, and would
-    reduce to zero (Chen & Kerber's clearing).  The tracked combinations of
-    the other zero columns are the representatives; each has its own column
-    as pivot, distinct from the pivots of the reduced columns of the step
-    before, which span the (co)boundaries.
+    Homology reduces the columns of d_d and cohomology those of the
+    coboundary delta^d (row i of d_{d+1} is column i of delta^d).  The
+    columns are visited in decreasing index order, each reduced only while
+    its lowest bit is a pivot (``Echelon.add``), and column j is skipped
+    when j is a pivot of the degree before, d+1 for homology and d-1 for
+    cohomology: that reduced column is a (co)cycle whose bit j is its
+    lowest, so column j is a sum of columns with larger index, already
+    reduced, and would reduce to zero (Chen & Kerber's clearing).  The
+    tracked combinations of the other zero columns are the representatives;
+    each has its own column as pivot, distinct from the pivots of the degree
+    before, which are those of a basis of the (co)boundaries.
     """
-    bases: list[HomologyBasis] = [None] * (c.dim + 1)
-    boundaries = Echelon()  # reduced columns of the step before
-    for d in (range(c.dim + 1) if cohomology else range(c.dim, -1, -1)):
-        n = c.size(d)
-        # column i of delta^d packs the cofacets of simplex i
-        cols = list(map(_pack, c.cofacets()[d])) if cohomology else c.boundary_map(d).data
-        cleared = boundaries.rows
-        ech = Echelon(track=True)
-        reps = []
-        for j in range(n - 1, -1, -1):
-            if j not in cleared:
-                row, combo = ech.add(cols[j], 1 << j)
-                if not row:
-                    reps.append(combo)
-        reps.reverse()
-        basis = Echelon(track=True)
-        basis.rows.update(cleared)
-        basis.combos.update(dict.fromkeys(cleared, 0))
-        for i, z in enumerate(reps):
-            j = (z & -z).bit_length() - 1
-            basis.rows[j] = z
-            basis.combos[j] = 1 << i
-        bases[d] = HomologyBasis(tuple(reps), basis)
-        boundaries = ech
-    return bases
+    before = d - 1 if cohomology else d + 1
+    cleared = _clearing_reduction(c, cohomology, before)[1] if 0 <= before <= c.dim else ()
+    # column i of delta^d packs the cofacets of simplex i
+    cols = list(map(_pack, c.cofacets()[d])) if cohomology else c.boundary_map(d).data
+    ech = Echelon(track=True)
+    reps = []
+    for j in range(c.size(d) - 1, -1, -1):
+        if j not in cleared:
+            row, combo = ech.add(cols[j], 1 << j)
+            if not row:
+                reps.append(combo)
+    reps.reverse()
+    return tuple(reps), frozenset(ech.rows)
+
+
+@memo
+def _basis(c: ChainComplexZ2, cohomology: bool, d: int) -> HomologyBasis:
+    """The basis of degree d, its duals combined from the other direction.
+
+    A (co)cycle of the other direction pairs to 0 with every (co)boundary,
+    and P[k][j] = <other_k, rep_j> is invertible exactly when both sets are
+    independent modulo the (co)boundaries and equally many.  Row i of P^-1
+    combines the other representatives into dual i.
+    """
+    if not 0 <= d <= c.dim:
+        return HomologyBasis((), (), ())
+    lists = c.cofacets()[d] if cohomology else c.facets[d]
+    reps = _clearing_reduction(c, cohomology, d)[0]
+    if not reps:
+        return HomologyBasis((), (), lists)
+    other = _clearing_reduction(c, not cohomology, d)[0]
+    pinv = inverse(BitMatrix(len(other), len(reps), tuple(
+        vec_from_bits(dot(x, z) for x in other) for z in reps)))
+    assert pinv is not None, "the (co)homology pairing is not invertible"
+    duals = map(BitMatrix(c.size(d), len(other), other).matvec, pinv.transpose().data)
+    return HomologyBasis(reps, tuple(duals), lists)
 
 
 def homology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
-    if degree < 0 or degree > c.dim:
-        return HomologyBasis(())
-    return _clearing_reduction(c, False)[degree]
+    return _basis(c, False, degree)
 
 
 def cohomology_basis(c: ChainComplexZ2, degree: int) -> HomologyBasis:
     """Cocycle representatives, from the reduction of the coboundaries."""
-    if degree < 0 or degree > c.dim:
-        return HomologyBasis(())
-    return _clearing_reduction(c, True)[degree]
+    return _basis(c, True, degree)
 
 
 def betti_numbers(c: ChainComplexZ2) -> dict[int, int]:
-    """Z2 Betti numbers: the dims of the cached homology bases."""
-    return {d: homology_basis(c, d).dim for d in range(c.dim + 1)}
+    """Z2 Betti numbers, asserted to have the alternating sum of the simplex counts."""
+    b = {d: len(_clearing_reduction(c, False, d)[0]) for d in range(c.dim + 1)}
+    assert sum((-1) ** d * (v - c.size(d)) for d, v in b.items()) == 0, \
+        "Betti numbers miss the Euler characteristic"
+    return b
 
 
 def betti(k: SimplicialComplex, degree: int) -> int:
@@ -227,13 +248,16 @@ def cocycles(k: SimplicialComplex, degree: int) -> tuple[int, ...]:
     """The cocycle representatives of the canonical basis of H^degree(k).
 
     Over Z2, dim H^d = dim H_d, so a zero Betti number means an empty basis
-    and the coboundaries of k are not reduced.  Only for a caller that
-    iterates the representatives: expressing a cocycle in the basis needs
-    the coboundary echelon of ``cohomology_basis``.
+    and the coboundaries of k are not reduced; any other is asserted to
+    count the representatives.  Only for a caller that iterates them:
+    expressing a cocycle in the basis needs ``cohomology_basis``.
     """
-    if betti(k, degree) == 0:
+    b = betti(k, degree)
+    if b == 0:
         return ()
-    return cohomology_basis(chain_complex(k), degree).representatives
+    reps = _clearing_reduction(chain_complex(k), True, degree)[0]
+    assert len(reps) == b, "cocycle count differs from the Betti number"
+    return reps
 
 
 def induced_map_from_chain_matrix(
@@ -259,8 +283,8 @@ def induced_on_cohomology(f, degree: int) -> BitMatrix:
     """f^*: H^degree(codomain) -> H^degree(domain); transpose construction.
 
     The source is only iterated, so it is read through ``cocycles``; the
-    target reduces each pulled-back cocycle against the coboundaries of the
-    domain, so it is the full ``cohomology_basis``.
+    target pairs each pulled-back cocycle with the duals of the domain's
+    basis, so it is the full ``cohomology_basis``.
     """
     pull = chain_map(f, degree).transpose()
     tgt = cohomology_basis(chain_complex(f.domain), degree)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sepcheck import homology
 from sepcheck.catalog import (
     build_catalog,
     cross_polytope_s3,
@@ -19,12 +20,13 @@ from sepcheck.complexes import (
     barycentric_subdivide,
 )
 from sepcheck.duality import poincare_duality_check
-from sepcheck.gf2 import Echelon, column_space_basis, kernel_basis, rank
+from sepcheck.gf2 import Echelon, column_space_basis, dot, kernel_basis, rank, vec_from_bits
 from sepcheck.homology import (
     ChainComplexZ2,
     _pack,
     betti_numbers,
     chain_complex,
+    cocycles,
     cohomology_basis,
     connecting_map,
     homology_basis,
@@ -277,6 +279,52 @@ def test_coordinates_rejects_non_cycles():
     h1 = homology_basis(c, 1)
     with pytest.raises(ValueError):
         h1.coordinates(1)  # a single edge is not a cycle
+    with pytest.raises(ValueError):
+        h1.coordinates(1 << c.size(1))  # wider than the edges
+
+
+def test_coordinates_rejects_non_cocycles():
+    c = chain_complex(csaszar_torus())
+    h1 = cohomology_basis(c, 1)
+    assert h1.dim == 2
+    with pytest.raises(ValueError):
+        h1.coordinates(1)  # a single edge is not a cocycle: its two triangles see it once
+    with pytest.raises(ValueError):
+        h1.coordinates(1 << c.size(1))  # wider than the edges
+
+
+def _replacing(monkeypatch, change):
+    """Patch ``homology._clearing_reduction`` to pass its result through ``change``."""
+    real = homology._clearing_reduction
+    monkeypatch.setattr(homology, "_clearing_reduction",
+                        lambda c, cohomology, d: change(c, cohomology, d, *real(c, cohomology, d)))
+
+
+def test_basis_pairing_certificate_fires_on_a_boundary(monkeypatch):
+    """A torus H_1 representative replaced by a boundary pairs to 0 with every cocycle."""
+    def to_boundary(c, cohomology, d, reps, pivots):
+        if (cohomology, d) == (False, 1):
+            reps = (c.boundary_map(2).data[0],) + reps[1:]
+        return reps, pivots
+
+    _replacing(monkeypatch, to_boundary)
+    with pytest.raises(AssertionError, match="pairing is not invertible"):
+        homology_basis(chain_complex(csaszar_torus()), 1)
+
+
+def test_betti_numbers_assert_the_euler_characteristic(monkeypatch):
+    _replacing(monkeypatch, lambda c, cohomology, d, reps, pivots:
+               (reps[:-1] if d == 1 else reps, pivots))
+    with pytest.raises(AssertionError, match="Euler characteristic"):
+        betti_numbers(chain_complex(hexagon()))
+
+
+def test_cocycles_assert_the_inherited_betti_number():
+    sd, _ = barycentric_subdivide(csaszar_torus())
+    assert len(cocycles(sd, 1)) == 2
+    sd._betti[1] = 3
+    with pytest.raises(AssertionError, match="differs from the Betti number"):
+        cocycles(sd, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +349,17 @@ def _assert_basis_is_sound(c, degree, cohomology):
     reps = basis.representatives
     for z in reps:
         assert out.matvec(z) == 0
-    # independent modulo the (co)boundaries: the echelon rows whose combo is 0
-    rows, combos = basis.echelon.rows, basis.echelon.combos
-    ech = Echelon(row for j, row in rows.items() if not combos[j])
+    # independent modulo the (co)boundaries, the incoming columns
+    incoming = c.boundary_map(degree).transpose() if cohomology else c.boundary_map(degree + 1)
+    ech = Echelon(incoming.data)
     assert all(ech.add(z)[0] for z in reps)
+    # each dual pairs to 1 with its own representative only, and kills the (co)boundaries
+    assert [vec_from_bits(dot(x, z) for z in reps) for x in basis.duals] == \
+        [1 << i for i in range(len(reps))]
     for i, z in enumerate(reps):
         assert basis.coordinates(z) == 1 << i
-    incoming = c.boundary_map(degree).transpose() if cohomology else c.boundary_map(degree + 1)
     for col in incoming.data:
+        assert not any(dot(x, col) for x in basis.duals)
         assert basis.coordinates(col) == 0
     for j in range(c.size(degree)):
         if out.matvec(1 << j):

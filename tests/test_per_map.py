@@ -92,7 +92,7 @@ def test_analyze_certifies_each_complex_once(monkeypatch):
 
 def test_analyze_at_sd1_builds_each_fact_of_a_complex_once(monkeypatch):
     """One chain complex per complex, at most one reduction per (chain complex,
-    direction) and one fundamental-chain check per (complex, n), on fresh complexes."""
+    direction, degree) and one fundamental-chain check per (complex, n), on fresh complexes."""
     f, _, _ = subdivide_map(build_catalog()["figure_eight_s1_s2"].map)
     asked = _count_calls(monkeypatch, homology, "chain_complex")
     built = []
@@ -103,9 +103,9 @@ def test_analyze_at_sd1_builds_each_fact_of_a_complex_once(monkeypatch):
     reductions = defaultdict(list)
     real_reduction = homology._clearing_reduction
 
-    def reducing(c, cohomology):
-        reductions[c, cohomology].append(real_reduction(c, cohomology))
-        return reductions[c, cohomology][-1]
+    def reducing(c, cohomology, d):
+        reductions[c, cohomology, d].append(real_reduction(c, cohomology, d))
+        return reductions[c, cohomology, d][-1]
 
     monkeypatch.setattr(homology, "_clearing_reduction", reducing)
     # fundamental_class checks the certificate of (k, n) each time it builds
@@ -116,11 +116,13 @@ def test_analyze_at_sd1_builds_each_fact_of_a_complex_once(monkeypatch):
                         lambda k, n: checks.append((k, n)) or real_certified(k, n))
     analyze_instance(f)
     assert len(built) == len({id(k) for k, in asked}) == 5  # M, N, f(M), A, B
-    # H^*(N) is never reduced: Sd(octahedron) has b1 = 0, and every H^1(N)
-    # consumer only iterates its (empty) basis
-    assert len(reductions) == 8
-    assert (homology.chain_complex(f.codomain), True) not in reductions
-    assert all(all(b is bases[0] for b in bases) for bases in reductions.values())
+    # H^1(N) is never reduced: Sd(octahedron) has b1 = 0, and every H^1(N)
+    # consumer only iterates its (empty) basis; H^0(N) gives the duals of
+    # H_0(N), whose coordinates theta_pushforward_check reads
+    assert len({(c, cohomology) for c, cohomology, _ in reductions}) == 9
+    cn = homology.chain_complex(f.codomain)
+    assert [d for c, cohomology, d in reductions if (c, cohomology) == (cn, True)] == [0]
+    assert all(all(r is rs[0] for r in rs) for rs in reductions.values())
     assert Counter((k.name, n) for k, n in checks) == {(f.domain.name, 1): 1,
                                                        (f.codomain.name, 2): 1}
 
