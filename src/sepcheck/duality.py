@@ -11,8 +11,9 @@ formulas in the global vertex order; the conventions are paired so that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .gf2 import BitMatrix, dot, kernel_basis, rank, solve, vec_from_bits
+from .gf2 import BitMatrix, bits_of, dot, kernel_basis, rank, solve, vec_from_bits
 from .complexes import (
     SimplicialComplex,
     Subcomplex,
@@ -65,16 +66,10 @@ def cup(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
         raise ValueError("cup product needs classes on the same complex")
     k = x.complex
     p, q = x.degree, y.degree
-    xi = k.simplex_index(p)
-    yi = k.simplex_index(q)
-    out = 0
-    for idx, s in enumerate(k.simplices_of_dim(p + q)):
-        front = s[: p + 1]
-        back = s[p:]
-        xv = (x.cocycle >> xi[front]) & 1
-        yv = (y.cocycle >> yi[back]) & 1
-        out |= (xv & yv) << idx
-    return CohomologyClass(k, p + q, out)
+    xi, yi = k.simplex_index(p), k.simplex_index(q)
+    xb, yb = bits_of(x.cocycle, len(xi)), bits_of(y.cocycle, len(yi))
+    out = [xb[xi[s[: p + 1]]] & yb[yi[s[p:]]] for s in k.simplices_of_dim(p + q)]
+    return CohomologyClass(k, p + q, vec_from_bits(out))
 
 
 def cap(x: CohomologyClass, chain: int, n: int) -> int:
@@ -87,14 +82,14 @@ def cap(x: CohomologyClass, chain: int, n: int) -> int:
     if p > n:
         raise ValueError("cap degree exceeds chain degree")
     xi = k.simplex_index(p)
+    xb = bits_of(x.cocycle, len(xi))
     out_index = k.simplex_index(n - p)
-    out = 0
-    for idx, s in enumerate(k.simplices_of_dim(n)):
-        if not (chain >> idx) & 1:
-            continue
-        if (x.cocycle >> xi[s[n - p:]]) & 1:
-            out ^= 1 << out_index[s[: n - p + 1]]
-    return out
+    out = bytearray(len(out_index))
+    simplices = k.simplices_of_dim(n)
+    for s in compress(simplices, bits_of(chain, len(simplices))):
+        if xb[xi[s[n - p:]]]:
+            out[out_index[s[: n - p + 1]]] ^= 1
+    return vec_from_bits(out)
 
 
 def evaluate(x: CohomologyClass, chain: int) -> int:
@@ -152,16 +147,13 @@ def sq1(x: CohomologyClass) -> CohomologyClass:
     k = x.complex
     p = x.degree
     xi = k.simplex_index(p)
-    out = 0
-    for idx, s in enumerate(k.simplices_of_dim(p + 1)):
-        total = 0
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            lift = (x.cocycle >> xi[face]) & 1
-            total += lift if i % 2 == 0 else -lift
+    xb = bits_of(x.cocycle, len(xi))
+    out = []
+    for s in k.simplices_of_dim(p + 1):
+        total = sum(xb[xi[s[:i] + s[i + 1:]]] * (-1) ** i for i in range(len(s)))
         assert total % 2 == 0, "input cochain is not a mod-2 cocycle"
-        out |= ((total // 2) & 1) << idx
-    res = CohomologyClass(k, p + 1, out)
+        out.append((total // 2) & 1)
+    res = CohomologyClass(k, p + 1, vec_from_bits(out))
     assert is_cocycle(res), "Bockstein output failed the cocycle check"
     return res
 

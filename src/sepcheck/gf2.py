@@ -14,13 +14,19 @@ import random
 from dataclasses import dataclass
 
 
+_BIT = bytes.maketrans(b"01", b"\0\1")
+_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
+def bits_of(v: int, n: int) -> bytes:
+    """The 0/1 entries of v (index 0 = bit 0), padded with zeros to length n;
+    one ``bin`` string, linear where a shift per bit is quadratic."""
+    return bin(v)[:1:-1].encode().translate(_BIT).ljust(n, b"\0") if v else bytes(n)
+
+
 def vec_from_bits(bits) -> int:
-    """Pack an iterable of 0/1 entries (index 0 = bit 0) into an int."""
-    v = 0
-    for j, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << j
-    return v
+    """Pack an iterable of 0/1 entries (index 0 = bit 0) into an int, linearly."""
+    return int(bytes(bits).translate(_DIGIT)[::-1] or b"0", 2)
 
 
 def dot(u: int, v: int) -> int:

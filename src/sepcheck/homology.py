@@ -1,17 +1,18 @@
 """Z2 chain complexes, absolute and relative (co)homology, induced maps.
 
-A chain complex keeps the facet index list of every simplex: its boundary
-columns are packed from them, and d d = 0 is checked by XORing, for each
-simplex, the columns its list names.  Their transpose, the cofacet lists,
-is built once on first use; the coboundary columns are packed from it, and
-the manifold certificate reads its links off it.  Each degree is reduced at
-most once per direction, on first use, keeping only its representatives
-and pivot indices: a clearing reduction of the boundaries for homology and
-of the coboundaries for cohomology (Chen & Kerber's "twist"; de Silva,
-Morozov & Vejdemo-Johansson for the dual).  A basis inverts the Kronecker
-pairing of its representatives with those of the other direction into
-duals, so a coordinate is one dot product per dual, and a pairing that is
-not invertible fails an assertion.  A caller that only iterates cocycle
+A chain complex keeps the facet index list of every simplex, and their
+transpose, the cofacet lists, built once on first use: they are its only
+boundary data, and the manifold certificate reads its links off the
+cofacet lists.  d d = 0 is checked by parity, the faces of the faces of
+each simplex pairing up.  Each degree is reduced at most once per
+direction, on first use, keeping only its representatives and pivot
+indices: a clearing reduction of the boundaries for homology and of the
+coboundaries for cohomology (Chen & Kerber's "twist"; de Silva, Morozov &
+Vejdemo-Johansson for the dual), which packs a column from its list only
+when it visits it.  A basis inverts the Kronecker pairing of its
+representatives with those of the other direction into duals, so a
+coordinate is one dot product per dual, and a pairing that is not
+invertible fails an assertion.  A caller that only iterates cocycle
 representatives reads ``cocycles``, which reduces nothing when the Betti
 number of that degree is 0 (over Z2, dim H^d = dim H_d).  The chain complex
 of a ``SimplicialComplex`` is itself cached on the complex.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, compress
 
-from .gf2 import BitMatrix, Echelon, dot, exact_at, inverse, vec_from_bits
+from .gf2 import BitMatrix, Echelon, bits_of, dot, exact_at, inverse, vec_from_bits
 from .complexes import Simplex, SimplicialComplex, Subcomplex, memo
 from .maps import chain_map, inclusion
 
@@ -41,15 +42,11 @@ def _pack(indices) -> int:
     return v
 
 
-_BIT = bytes.maketrans(b"01", b"\0\1")
-
-
 def odd_faces(lists, z: int) -> set[int]:
     """The indices named an odd number of times by the lists that z selects:
-    none when z is a cycle (facet lists) or a cocycle (cofacet lists).  One
-    ``bin`` string of z keeps it linear; a ``z & -z`` loop is quadratic."""
+    none when z is a cycle (facet lists) or a cocycle (cofacet lists)."""
     odd = set()
-    for f in compress(lists, bin(z)[:1:-1].encode().translate(_BIT)):
+    for f in compress(lists, bits_of(z, len(lists))):
         odd.symmetric_difference_update(f)
     return odd
 
@@ -59,8 +56,8 @@ class ChainComplexZ2:
 
     ``facets[d][j]`` lists the positions in ``simplices[d - 1]`` of the
     facets of simplex j of dimension d, in ``combinations`` order, and
-    ``boundary[d]`` packs each list as a column; ``cofacets()`` is the
-    transpose of the lists.
+    ``cofacets()`` is the transpose of the lists.  They are the only
+    boundary data it holds.
     """
 
     def __init__(self, simplices_by_dim: list[list[Simplex]],
@@ -69,7 +66,6 @@ class ChainComplexZ2:
         self.dim = len(simplices_by_dim) - 1
         self.index = index  # index d -> position of each d-simplex in simplices[d]
         self.facets: list[list[tuple[int, ...]]] = [[()] * self.size(0)]
-        self.boundary: list[BitMatrix] = [BitMatrix.zero(0, self.size(0))]
         for d in range(1, self.dim + 1):
             get = self.index[d - 1].get
             facets = []
@@ -79,14 +75,12 @@ class ChainComplexZ2:
                     f = tuple(i for i in f if i is not None)
                 facets.append(f)
             self.facets.append(facets)
-            self.boundary.append(BitMatrix(self.size(d - 1), len(facets), tuple(map(_pack, facets))))
-        for d in range(1, self.dim):  # each (d+1)-simplex XORs the d-columns it names
-            cols = self.boundary[d].data
-            for f in self.facets[d + 1]:
-                col = 0
+        for below, above in zip(self.facets[1:], self.facets[2:]):
+            for f in above:  # the faces of the faces of a simplex pair up
+                odd = set()
                 for i in f:
-                    col ^= cols[i]
-                assert not col, "dd != 0"
+                    odd.symmetric_difference_update(below[i])
+                assert not odd, "dd != 0"
         self._memo = {}
 
     @memo
@@ -106,11 +100,11 @@ class ChainComplexZ2:
         return len(self.simplices[d]) if 0 <= d <= self.dim else 0
 
     def boundary_map(self, d: int) -> BitMatrix:
-        """d-th boundary C_d -> C_{d-1}; zero map outside range."""
+        """d-th boundary C_d -> C_{d-1}, zero outside range, packed from the
+        facet lists on each call and not kept: a dense reference for tests,
+        which no computation here calls."""
         if 1 <= d <= self.dim:
-            return self.boundary[d]
-        if d == 0:
-            return BitMatrix.zero(0, self.size(0))
+            return BitMatrix(self.size(d - 1), self.size(d), tuple(map(_pack, self.facets[d])))
         return BitMatrix.zero(self.size(d - 1), self.size(d))
 
 
@@ -180,13 +174,13 @@ def _clearing_reduction(c: ChainComplexZ2, cohomology: bool, d: int) -> tuple:
     """
     before = d - 1 if cohomology else d + 1
     cleared = _clearing_reduction(c, cohomology, before)[1] if 0 <= before <= c.dim else ()
-    # column i of delta^d packs the cofacets of simplex i
-    cols = list(map(_pack, c.cofacets()[d])) if cohomology else c.boundary_map(d).data
+    # column j of d_d packs the facets of simplex j, column j of delta^d its cofacets
+    lists = c.cofacets()[d] if cohomology else c.facets[d]
     ech = Echelon(track=True)
     reps = []
     for j in range(c.size(d) - 1, -1, -1):
         if j not in cleared:
-            row, combo = ech.add(cols[j], 1 << j)
+            row, combo = ech.add(_pack(lists[j]), 1 << j)
             if not row:
                 reps.append(combo)
     reps.reverse()
@@ -295,29 +289,27 @@ def induced_on_cohomology(f, degree: int) -> BitMatrix:
 # Exact sequences: the connecting map and the long exact sequence of a pair
 # ---------------------------------------------------------------------------
 
-def connecting_map(source: HomologyBasis, lift, boundary: BitMatrix, read,
+def connecting_map(source: HomologyBasis, lift, faces, read,
                    target: HomologyBasis) -> BitMatrix:
     """Connecting map from relative classes to classes on the subcomplex.
 
     Each representative of ``source`` is lifted to an absolute chain
     (``lift[i]`` is the absolute index of relative simplex i, None to drop
-    it), its absolute ``boundary`` is taken, and the result is read on the
-    subcomplex (``read[j]`` is the subcomplex index of face j, None outside
-    it) and expressed in ``target``.
+    it), its boundary is read off the absolute facet lists ``faces``, and
+    the result is read on the subcomplex (``read[j]`` is the subcomplex
+    index of face j, None outside it) and expressed in ``target``.
     """
     cols = []
     for z in source.representatives:
-        zk = 0
-        for i, a in enumerate(lift):
-            if (z >> i) & 1 and a is not None:
-                zk |= 1 << a
-        bz = boundary.matvec(zk)
-        zl = 0
-        for j, b in enumerate(read):
-            if (bz >> j) & 1:
-                assert b is not None, "connecting chain escapes the subcomplex"
-                zl |= 1 << b
-        cols.append(target.coordinates(zl))
+        zk = bytearray(len(faces))
+        for a in compress(lift, bits_of(z, len(lift))):
+            if a is not None:
+                zk[a] = 1
+        zl = bytearray(len(target.lists))
+        for j in odd_faces(faces, vec_from_bits(zk)):
+            assert read[j] is not None, "connecting chain escapes the subcomplex"
+            zl[read[j]] = 1
+        cols.append(target.coordinates(vec_from_bits(zl)))
     return BitMatrix(target.dim, source.dim, tuple(cols))
 
 
@@ -352,7 +344,7 @@ def les_pair_check(k: SimplicialComplex, l: Subcomplex) -> bool:
         if d > 0:
             kindex, lindex = k.simplex_index(d), i.domain.simplex_index(d - 1)
             maps.append(connecting_map(
-                h_rel, [kindex[s] for s in crel.simplices[d]], ck.boundary_map(d),
+                h_rel, [kindex[s] for s in crel.simplices[d]], ck.facets[d],
                 [lindex.get(s) for s in k.simplices_of_dim(d - 1)], homology_basis(cl, d - 1)))
     maps.append(BitMatrix.zero(0, maps[-1].rows))
     return all(exact_at(a, b) for a, b in zip(maps, maps[1:]))

@@ -174,7 +174,7 @@ def mv_sequence_check(f: SimplicialMap) -> dict:
             excised[img_s] = i
     a_index = incl.domain.simplex_index(m - 1)
     delta = connecting_map(hi_m, [excised.get(s) for s in img_cx.simplices_of_dim(m)],
-                           chain_complex(M).boundary_map(m),
+                           chain_complex(M).facets[m],
                            [a_index.get(s) for s in M.simplices_of_dim(m - 1)], ha_m1)
 
     return {

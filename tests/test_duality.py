@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepcheck import duality
 from sepcheck.catalog import (
@@ -11,7 +14,12 @@ from sepcheck.catalog import (
     octahedron,
     rp2_six_vertex,
 )
-from sepcheck.complexes import SimplicialComplex, Subcomplex, is_certified_manifold
+from sepcheck.complexes import (
+    SimplicialComplex,
+    Subcomplex,
+    barycentric_subdivide,
+    is_certified_manifold,
+)
 from sepcheck.duality import (
     CohomologyClass,
     alexander_duality_check,
@@ -30,9 +38,11 @@ from sepcheck.duality import (
 from sepcheck.gf2 import BitMatrix, solve, vec_from_bits
 from sepcheck.homology import (
     chain_complex,
+    cocycles,
     cohomology_basis,
     homology_basis,
     induced_on_cohomology,
+    odd_faces,
 )
 from sepcheck.maps import chain_map, subdivide_map
 
@@ -309,3 +319,89 @@ def test_cohomology_consumers_equal_references_that_reduce_every_group(cid, leve
         for d in range(n + 1):
             assert caps[k.name, d] == _reference_cap_matrix(k, n, d), (k.name, d)
     assert pullbacks == [_reference_pullback(f, d) for d in range(f.domain.dim + 1)]
+
+
+# Bit-by-bit references for the cochain operations: one shift per entry read
+# and one OR (an XOR for cap) per entry written.
+
+def _bitwise_cup(x, y):
+    k = x.complex
+    p, q = x.degree, y.degree
+    xi = k.simplex_index(p)
+    yi = k.simplex_index(q)
+    out = 0
+    for idx, s in enumerate(k.simplices_of_dim(p + q)):
+        front = s[: p + 1]
+        back = s[p:]
+        xv = (x.cocycle >> xi[front]) & 1
+        yv = (y.cocycle >> yi[back]) & 1
+        out |= (xv & yv) << idx
+    return out
+
+
+def _bitwise_cap(x, chain, n):
+    k = x.complex
+    p = x.degree
+    xi = k.simplex_index(p)
+    out_index = k.simplex_index(n - p)
+    out = 0
+    for idx, s in enumerate(k.simplices_of_dim(n)):
+        if not (chain >> idx) & 1:
+            continue
+        if (x.cocycle >> xi[s[n - p:]]) & 1:
+            out ^= 1 << out_index[s[: n - p + 1]]
+    return out
+
+
+def _bitwise_sq1(x):
+    k = x.complex
+    p = x.degree
+    xi = k.simplex_index(p)
+    out = 0
+    for idx, s in enumerate(k.simplices_of_dim(p + 1)):
+        total = 0
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1:]
+            lift = (x.cocycle >> xi[face]) & 1
+            total += lift if i % 2 == 0 else -lift
+        assert total % 2 == 0
+        out |= ((total // 2) & 1) << idx
+    return out
+
+
+@functools.cache
+def _catalog_complexes_sd0_sd1():
+    base = {k.name: k for e in build_catalog().values() for k in e.complexes.values()
+            if not k.name.startswith("Sd(")}
+    return [k for name in sorted(base) for k in (base[name], barycentric_subdivide(base[name])[0])]
+
+
+def _random_cocycle(k, d, rng):
+    """A random sum of the cocycle representatives, plus the coboundary of a
+    random (d-1)-cochain (the degree-d cofacets its simplices name an odd
+    number of times)."""
+    z = 0
+    for r in cocycles(k, d):
+        z ^= r * rng.getrandbits(1)
+    if d:
+        w = rng.getrandbits(len(k.simplices_of_dim(d - 1)))
+        for i in odd_faces(chain_complex(k).cofacets()[d - 1], w):
+            z ^= 1 << i
+    return z
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_cochain_operations_equal_bitwise_references(data):
+    """cup, cap and sq1 on random cocycles and chains of the catalog complexes
+    at Sd⁰ and Sd¹ equal the references that read and write one bit at a time."""
+    k = data.draw(st.sampled_from(_catalog_complexes_sd0_sd1()), label="complex")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    p = data.draw(st.integers(0, k.dim), label="p")
+    q = data.draw(st.integers(0, k.dim - p), label="q")
+    n = data.draw(st.integers(p, k.dim), label="n")
+    x, y = (CohomologyClass(k, d, _random_cocycle(k, d, rng)) for d in (p, q))
+    chain = rng.getrandbits(len(k.simplices_of_dim(n)))
+    assert cup(x, y).cocycle == _bitwise_cup(x, y)
+    assert cap(x, chain, n) == _bitwise_cap(x, chain, n)
+    assert sq1(x).cocycle == _bitwise_sq1(x)

@@ -9,6 +9,7 @@ from sepcheck.gf2 import (
     BitMatrix,
     Echelon,
     LadderDiagram,
+    bits_of,
     exact_at,
     inverse,
     kernel_basis,
@@ -282,6 +283,17 @@ def test_inverse_roundtrip():
 def test_vec_roundtrip():
     bits = [1, 0, 1, 1, 0]
     assert vec_to_bits(vec_from_bits(bits), 5) == bits
+
+
+@given(st.integers(0, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+@example((0, 0))
+@example((1, 0))
+@example((70, 1 << 69))
+def test_bits_of_roundtrips_through_vec_from_bits(nv):
+    n, v = nv
+    bits = bits_of(v, n)
+    assert bits == bytes(vec_to_bits(v, n))
+    assert vec_from_bits(bits) == vec_from_bits(list(bits)) == v
 
 
 # --- exactness ------------------------------------------------------------

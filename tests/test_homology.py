@@ -213,22 +213,22 @@ def _octahedron_equator_connecting_data():
     lift = [kindex[s] for s in crel.simplices[2]]
     read = [lindex.get(s) for s in k.simplices_of_dim(1)]
     h_l = homology_basis(chain_complex(equator.to_complex()), 1)
-    return homology_basis(crel, 2), lift, chain_complex(k).boundary_map(2), read, h_l
+    return homology_basis(crel, 2), lift, chain_complex(k).facets[2], read, h_l
 
 
 def test_connecting_map_octahedron_equator():
-    source, lift, boundary, read, target = _octahedron_equator_connecting_data()
-    delta = connecting_map(source, lift, boundary, read, target)
+    source, lift, faces, read, target = _octahedron_equator_connecting_data()
+    delta = connecting_map(source, lift, faces, read, target)
     # both hemispheres bound the equator, so H_2(K, L) = F2^2 maps onto H_1(L) = F2
     assert (delta.rows, delta.cols) == (1, 2)
     assert rank(delta) == 1
 
 
 def test_connecting_map_asserts_boundary_lies_in_subcomplex():
-    source, lift, boundary, read, target = _octahedron_equator_connecting_data()
+    source, lift, faces, read, target = _octahedron_equator_connecting_data()
     read[read.index(0)] = None  # one equator edge read as outside L
     with pytest.raises(AssertionError, match="escapes the subcomplex"):
-        connecting_map(source, lift, boundary, read, target)
+        connecting_map(source, lift, faces, read, target)
 
 
 def _paper_pairs(level: int):
@@ -438,6 +438,31 @@ def test_chain_complex_asserts_dd_is_zero():
     index[1][e], index[1][f] = index[1][f], index[1][e]
     with pytest.raises(AssertionError, match=r"^dd != 0$"):
         ChainComplexZ2([k.simplices_of_dim(d) for d in range(k.dim + 1)], index)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_complex(octahedron()),
+    lambda: chain_complex(csaszar_torus()),
+    lambda: relative_chain_complex(*_octahedron_mod_equator()),
+], ids=["octahedron", "torus", "octahedron_mod_equator"])
+def test_clearing_reduction_packs_only_the_columns_it_does_not_clear(monkeypatch, make):
+    """Each direction packs a column from its list only when it visits it:
+    c.size(d) - |cleared| columns in degree d, and none at construction."""
+    packed = []
+    real = homology._pack
+    monkeypatch.setattr(homology, "_pack", lambda f: packed.append(f) or real(f))
+    c = make()
+    assert not packed
+    for cohomology in (False, True):
+        # each degree after the one whose pivots clear it, so that one is memoized
+        for d in (range(c.dim + 1) if cohomology else range(c.dim, -1, -1)):
+            start = len(packed)
+            homology._clearing_reduction(c, cohomology, d)
+            count = len(packed) - start
+            before = d - 1 if cohomology else d + 1
+            cleared = homology._clearing_reduction(c, cohomology, before)[1] \
+                if 0 <= before <= c.dim else ()
+            assert count == c.size(d) - len(cleared), (cohomology, d)
 
 
 def test_clearing_bases_on_relative_complexes():
