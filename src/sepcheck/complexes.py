@@ -58,6 +58,10 @@ class SimplicialComplex:
         # and Z2 Betti numbers.
         self._manifold_dims: set[int] = set()
         self._betti: dict[int, int] = {}
+        # The complex this one is the barycentric subdivision of, if any; its
+        # (co)homology bases are carried from there (``homology``).  Nothing
+        # the base holds points back here.
+        self.base: SimplicialComplex | None = None
 
     @staticmethod
     def from_maximal_simplices(name: str, maximal) -> "SimplicialComplex":
@@ -243,6 +247,10 @@ def barycentric_subdivide(k: SimplicialComplex):
     label sorts before its face's), and the tuple is sorted otherwise.
     Each chain is listed under its dimension in the order it is built,
     which is the canonical order of Sd(k) and the same under any hash seed.
+    So vertex j of Sd(k) is the barycenter of the j-th simplex of k, and the
+    (d+1)! full flags of the i-th d-simplex of k sit at positions
+    [i (d+1)!, (i+1) (d+1)!) of the d-simplices of Sd(k): ``homology`` reads
+    both to carry the (co)homology bases of k, kept as ``Sd(k).base``.
     Each barycenter label is built once and shared by every simplex of Sd(k)
     that contains it, so the set build and lookups on Sd(k) reuse one
     cached string hash and compare equal labels by identity.  Raises
@@ -268,6 +276,7 @@ def barycentric_subdivide(k: SimplicialComplex):
     sd = SimplicialComplex(f"Sd({k.name})", by_dim)
     sd._manifold_dims = set(k._manifold_dims)
     sd._betti = dict(k._betti)
+    sd.base = k
     return sd, vertex_of
 
 

@@ -9,25 +9,30 @@ direction, on first use, keeping only its representatives and pivot
 indices: a clearing reduction of the boundaries for homology and of the
 coboundaries for cohomology (Chen & Kerber's "twist"; de Silva, Morozov &
 Vejdemo-Johansson for the dual), which packs a column from its list only
-when it visits it.  A basis inverts the Kronecker pairing of its
-representatives with those of the other direction into duals, so a
-coordinate is one dot product per dual, and a pairing that is not
-invertible fails an assertion.  A caller that only iterates cocycle
-representatives reads ``cocycles``, which reduces nothing when the Betti
-number of that degree is 0 (over Z2, dim H^d = dim H_d).  The chain complex
-of a ``SimplicialComplex`` is itself cached on the complex.
+when it visits it.  The chain complex of a barycentric subdivision Sd K
+reduces nothing: its representatives are carried from those of K, cycles
+by the subdivision chain map and cocycles by the vertex choice, and
+certified by parity, and a degree whose Betti number is 0 carries none.
+A basis inverts the Kronecker pairing of its representatives with those
+of the other direction into duals, so a coordinate is one dot product per
+dual, and a pairing that is not invertible fails an assertion.  A caller
+that only iterates cocycle representatives reads ``cocycles``, which
+reduces nothing when the Betti number of that degree is 0 (over Z2,
+dim H^d = dim H_d).  The chain complex of a ``SimplicialComplex`` is
+itself cached on the complex.
 
 All bases are canonical: simplices are indexed in the canonical order of
-their complex (``SimplicialComplex.simplices_of_dim``) and the reduction is
-deterministic, so representatives and induced maps are reproducible across
-runs.  An induced map is a ``BitMatrix`` whose column i holds the
-coordinates of the image of source representative i.
+their complex (``SimplicialComplex.simplices_of_dim``) and the reduction and
+the transport are deterministic, so representatives and induced maps are
+reproducible across runs.  An induced map is a ``BitMatrix`` whose column i
+holds the coordinates of the image of source representative i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
+from math import factorial
 
 from .gf2 import BitMatrix, Echelon, bits_of, dot, exact_at, inverse, vec_from_bits
 from .complexes import Simplex, SimplicialComplex, Subcomplex, memo
@@ -57,14 +62,17 @@ class ChainComplexZ2:
     ``facets[d][j]`` lists the positions in ``simplices[d - 1]`` of the
     facets of simplex j of dimension d, in ``combinations`` order, and
     ``cofacets()`` is the transpose of the lists.  They are the only
-    boundary data it holds.
+    boundary data it holds.  ``base`` is the complex K when this is the
+    chain complex of Sd K made by ``barycentric_subdivide``, and None
+    otherwise.
     """
 
     def __init__(self, simplices_by_dim: list[list[Simplex]],
-                 index: list[dict[Simplex, int]]):
+                 index: list[dict[Simplex, int]], base: SimplicialComplex | None = None):
         self.simplices = simplices_by_dim  # index d -> d-simplices in canonical order
         self.dim = len(simplices_by_dim) - 1
         self.index = index  # index d -> position of each d-simplex in simplices[d]
+        self.base = base
         self.facets: list[list[tuple[int, ...]]] = [[()] * self.size(0)]
         for d in range(1, self.dim + 1):
             get = self.index[d - 1].get
@@ -112,11 +120,12 @@ class ChainComplexZ2:
 def chain_complex(k: SimplicialComplex) -> ChainComplexZ2:
     """The chain complex of k, built on first use and cached on k.
 
-    It indexes the simplices with k's own ``simplex_index`` tables.
+    It indexes the simplices with k's own ``simplex_index`` tables, and
+    points at k's base, never at k.
     """
     dim = max(k.dim, 0) if k.simplices else -1
     return ChainComplexZ2([k.simplices_of_dim(d) for d in range(dim + 1)],
-                          [k.simplex_index(d) for d in range(dim + 1)])
+                          [k.simplex_index(d) for d in range(dim + 1)], k.base)
 
 
 def relative_chain_complex(k: SimplicialComplex, l: Subcomplex) -> ChainComplexZ2:
@@ -187,6 +196,61 @@ def _clearing_reduction(c: ChainComplexZ2, cohomology: bool, d: int) -> tuple:
     return tuple(reps), frozenset(ech.rows)
 
 
+def _carry(c: ChainComplexZ2, cohomology: bool, d: int, reps) -> tuple[int, ...]:
+    """The (co)cycles ``reps`` of degree d of the base K, carried to c = C(Sd K).
+
+    A cycle goes by the subdivision chain map Sd_#, which sends the i-th
+    d-simplex of K to the sum of its (d+1)! full flags, the i-th block of
+    (d+1)! d-simplices of Sd K, so each bit spreads into its block.  A cocycle
+    x goes by g^#, with g the vertex choice <s> -> s[0] (vertex j of Sd K
+    is the barycenter of the j-th simplex of K): g^# x is x(g(t)) on a
+    d-simplex t whose chosen vertices span a d-simplex g(t) of K, and 0 on
+    the others.  g_# Sd_# = id (Munkres, Thm 17.2), so the carried sets
+    pair as K's do: <g^# x, Sd_# z> = <x, z>.
+    """
+    if not cohomology:
+        width = factorial(d + 1)
+        spread = {ord("0"): "0" * width, ord("1"): "1" * width}
+        return tuple(int(bin(z)[2:].translate(spread), 2) for z in reps)
+    k = c.base
+    choice = {v: s[0] for (v,), s in zip(
+        c.simplices[0], chain.from_iterable(map(k.simplices_of_dim, range(k.dim + 1))))}
+    index = k.simplex_index(d)
+    collapsed = len(index)  # the position of the extra 0 below
+    image = [index.get(tuple(sorted({choice[v] for v in t})), collapsed)
+             for t in c.simplices[d]]
+    return tuple(vec_from_bits(map((bits_of(x, collapsed) + b"\0").__getitem__, image))
+                 for x in reps)
+
+
+@memo
+def _representatives(c: ChainComplexZ2, cohomology: bool, d: int) -> tuple[int, ...]:
+    """The (co)cycle representatives of degree d, reduced or carried.
+
+    A chain complex with no base is reduced (``_clearing_reduction``).  One
+    of Sd K takes K's representatives through ``_carry``, none when
+    beta_d(K) = 0, and certifies them without the transport: each is a
+    (co)cycle, by parity over the facet lists, and there are beta_d of them.
+    ``_basis`` then asserts that they pair invertibly with the other
+    direction's, which makes both sets bases.
+    """
+    if c.base is None:
+        return _clearing_reduction(c, cohomology, d)[0]
+    b = betti(c.base, d)
+    if not b:
+        return ()
+    reps = _carry(c, cohomology, d, _representatives(chain_complex(c.base), cohomology, d))
+    assert len(reps) == b, "carried representatives miss the Betti number"
+    for z in reps:
+        if cohomology:  # a cocycle is 1 on an even number of facets of each (d+1)-simplex
+            zb = bits_of(z, c.size(d))
+            odd = d < c.dim and any(sum(map(zb.__getitem__, f)) & 1 for f in c.facets[d + 1])
+        else:
+            odd = odd_faces(c.facets[d], z)
+        assert not odd, "a carried representative is not a (co)cycle"
+    return reps
+
+
 @memo
 def _basis(c: ChainComplexZ2, cohomology: bool, d: int) -> HomologyBasis:
     """The basis of degree d, its duals combined from the other direction.
@@ -199,10 +263,10 @@ def _basis(c: ChainComplexZ2, cohomology: bool, d: int) -> HomologyBasis:
     if not 0 <= d <= c.dim:
         return HomologyBasis((), (), ())
     lists = c.cofacets()[d] if cohomology else c.facets[d]
-    reps = _clearing_reduction(c, cohomology, d)[0]
+    reps = _representatives(c, cohomology, d)
     if not reps:
         return HomologyBasis((), (), lists)
-    other = _clearing_reduction(c, not cohomology, d)[0]
+    other = _representatives(c, not cohomology, d)
     pinv = inverse(BitMatrix(len(other), len(reps), tuple(
         vec_from_bits(dot(x, z) for x in other) for z in reps)))
     assert pinv is not None, "the (co)homology pairing is not invertible"
@@ -228,14 +292,20 @@ def betti_numbers(c: ChainComplexZ2) -> dict[int, int]:
 
 
 def betti(k: SimplicialComplex, degree: int) -> int:
-    """Z2 Betti number with per-complex caching (subdivision inherits it)."""
+    """Z2 Betti number with per-complex caching (subdivision inherits it).
+
+    A subdivision whose base had none yet reads them off its base, so only
+    the bottom of a subdivision ladder is reduced.
+    """
     if degree in k._betti:
         return k._betti[degree]
     if k._betti or not k.simplices:
         return 0  # cache is filled for every degree in range at once
-    b = betti_numbers(chain_complex(k))
-    k._betti.update(b)
-    return b.get(degree, 0)
+    if k.base is None:
+        k._betti.update(betti_numbers(chain_complex(k)))
+    else:
+        k._betti.update({d: betti(k.base, d) for d in range(k.dim + 1)})
+    return k._betti.get(degree, 0)
 
 
 def cocycles(k: SimplicialComplex, degree: int) -> tuple[int, ...]:
@@ -249,7 +319,7 @@ def cocycles(k: SimplicialComplex, degree: int) -> tuple[int, ...]:
     b = betti(k, degree)
     if b == 0:
         return ()
-    reps = _clearing_reduction(chain_complex(k), True, degree)[0]
+    reps = _representatives(chain_complex(k), True, degree)
     assert len(reps) == b, "cocycle count differs from the Betti number"
     return reps
 

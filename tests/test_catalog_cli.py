@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from sepcheck import homology
 from sepcheck.catalog import build_catalog, catalog_list
 from sepcheck.cli import (
     EXIT_ASSERTION,
@@ -381,4 +382,25 @@ def test_cli_assertion_exits_2_with_one_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_ASSERTION
     assert captured.err == "assertion failure: x\n"
+    assert captured.out == ""
+
+
+def test_cli_carried_basis_certificate_exits_2_with_one_line(monkeypatch, capsys):
+    """One bit flipped in one representative carried up to Sd¹ fails its certificate."""
+    real = homology._carry
+    flipped = []
+
+    def flip_one(c, cohomology, d, reps):
+        out = real(c, cohomology, d, reps)
+        if out and not flipped:
+            flipped.append((cohomology, d))
+            out = (out[0] ^ 1,) + out[1:]
+        return out
+
+    monkeypatch.setattr(homology, "_carry", flip_one)
+    code = main(["analyze", "--entry", "essential_circle_t2", "--subdivide", "1"])
+    captured = capsys.readouterr()
+    assert flipped
+    assert code == EXIT_ASSERTION
+    assert captured.err.startswith("assertion failure: ") and captured.err.count("\n") == 1
     assert captured.out == ""

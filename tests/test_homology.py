@@ -14,13 +14,23 @@ from sepcheck.catalog import (
     rp2_six_vertex,
     square_circle,
 )
+from sepcheck.cli import analyze_instance
 from sepcheck.complexes import (
     SimplicialComplex,
     Subcomplex,
     barycentric_subdivide,
 )
 from sepcheck.duality import poincare_duality_check
-from sepcheck.gf2 import Echelon, column_space_basis, dot, kernel_basis, rank, vec_from_bits
+from sepcheck.gf2 import (
+    BitMatrix,
+    Echelon,
+    column_space_basis,
+    dot,
+    inverse,
+    kernel_basis,
+    rank,
+    vec_from_bits,
+)
 from sepcheck.homology import (
     ChainComplexZ2,
     _pack,
@@ -497,8 +507,84 @@ def test_inherited_betti_matches_fresh_reduction_at_sd1_and_sd2():
         for _ in range(2):
             sd, _ = barycentric_subdivide(sd)
             assert sd._betti, sd.name
-            fresh = {d: homology_basis(chain_complex(sd), d).dim for d in range(sd.dim + 1)}
-            assert sd._betti == fresh, sd.name
+            assert sd._betti == betti_numbers(chain_complex(sd)), sd.name
+
+
+def test_carry_is_the_subdivision_chain_map_and_the_vertex_choice():
+    """On every simplex of every catalog complex, the carry of a cycle is Sd_#, the
+    full flags whose top simplex it is, and the carry of a cocycle is g^# for the
+    vertex choice g: <s> -> s[0], both read off the barycenter labels; and
+    g_# Sd_# = id."""
+    for k in _catalog_complexes().values():
+        sd, vertex_of = barycentric_subdivide(k)
+        c = chain_complex(sd)
+        g = SimplicialMap("g", sd, k, {b: vertex_of[b][0] for b in sd.vertices})
+        for d in range(k.dim + 1):
+            units = tuple(1 << i for i in range(len(k.simplices_of_dim(d))))
+            flags = [max(map(vertex_of.__getitem__, t), key=len) for t in sd.simplices_of_dim(d)]
+            sd_chain = tuple(_pack(j for j, top in enumerate(flags) if top == s)
+                             for s in k.simplices_of_dim(d))
+            assert homology._carry(c, False, d, units) == sd_chain, (k.name, d)
+            assert homology._carry(c, True, d, units) == \
+                tuple(map(chain_map(g, d).transpose().matvec, units)), (k.name, d)
+            assert tuple(map(chain_map(g, d).matvec, sd_chain)) == units, (k.name, d)
+
+
+def _reduced_twin(k):
+    """A chain complex of k's simplices, in k's order, with no base: every basis
+    of it comes from the clearing reduction."""
+    return ChainComplexZ2([k.simplices_of_dim(d) for d in range(k.dim + 1)],
+                          [k.simplex_index(d) for d in range(k.dim + 1)])
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_carried_bases_match_the_reduction(level):
+    """At Sd^level of every catalog complex, in both directions and every
+    degree, the carried basis has the reduced basis's dimension, and the
+    coordinates of its representatives in the reduced basis are invertible."""
+    for k in _catalog_complexes().values():
+        sd = k
+        for _ in range(level):
+            sd, _ = barycentric_subdivide(sd)
+        carried, reduced = chain_complex(sd), _reduced_twin(sd)
+        assert carried.base is sd.base and reduced.base is None
+        for d in range(sd.dim + 1):
+            for basis in (homology_basis, cohomology_basis):
+                got, want = basis(carried, d), basis(reduced, d)
+                assert got.dim == want.dim == k._betti[d], (sd.name, basis, d)
+                change = BitMatrix(want.dim, got.dim,
+                                   tuple(map(want.coordinates, got.representatives)))
+                assert inverse(change) is not None, (sd.name, basis, d)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_analyze_reads_equal_ranks_from_carried_and_reduced_bases(monkeypatch, level):
+    """Every induced map analyze computes has the same shape and rank, and every
+    report is the same, whether the subdivisions carry their bases or reduce."""
+    made, carries = [], []
+    real_induced, real_carry = homology.induced_map_from_chain_matrix, homology._carry
+    monkeypatch.setattr(homology, "induced_map_from_chain_matrix",
+                        lambda *args: made.append(real_induced(*args)) or made[-1])
+    monkeypatch.setattr(homology, "_carry", lambda *args: carries.append(1) or real_carry(*args))
+
+    def analyze_catalog():
+        out = []
+        for cid, entry in sorted(build_catalog().items()):
+            f = entry.map
+            for _ in range(level):
+                f, _, _ = subdivide_map(f)
+            made.clear()
+            report = analyze_instance(f)
+            out.append((cid, report, [(m.rows, m.cols, rank(m)) for m in made]))
+        return out
+
+    carried = analyze_catalog()
+    assert carries
+    monkeypatch.setattr(homology, "_representatives", lambda c, cohomology, d:
+                        homology._clearing_reduction(c, cohomology, d)[0])
+    carries.clear()
+    assert analyze_catalog() == carried
+    assert not carries
 
 
 def test_poincare_duality_on_certified_catalog_complexes_at_sd1():

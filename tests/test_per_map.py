@@ -13,7 +13,14 @@ from sepcheck import complexes, duality, homology, separation
 from sepcheck.catalog import build_catalog, octahedron, square_circle
 from sepcheck.cli import EXIT_REFUSED, analyze_instance
 from sepcheck.complexes import SimplicialComplex, barycentric_subdivide, is_certified_manifold
-from sepcheck.maps import SimplicialMap, image_subcomplex, self_intersection, subdivide_map
+from sepcheck.maps import (
+    SimplicialMap,
+    image_complex,
+    image_subcomplex,
+    self_intersection,
+    self_intersection_maps,
+    subdivide_map,
+)
 from sepcheck.obstruction import (
     cor317_check,
     dual_class_Uf,
@@ -91,15 +98,17 @@ def test_analyze_certifies_each_complex_once(monkeypatch):
 
 
 def test_analyze_at_sd1_builds_each_fact_of_a_complex_once(monkeypatch):
-    """One chain complex per complex, at most one reduction per (chain complex,
-    direction, degree) and one fundamental-chain check per (complex, n), on fresh complexes."""
+    """One chain complex per complex, no reduction of a subdivision, at most one
+    reduction per (chain complex, direction, degree) and one fundamental-chain
+    check per (complex, n), on fresh complexes."""
     f, _, _ = subdivide_map(build_catalog()["figure_eight_s1_s2"].map)
+    m, n = f.domain, f.codomain
     asked = _count_calls(monkeypatch, homology, "chain_complex")
     built = []
     real_init = homology.ChainComplexZ2.__init__
     monkeypatch.setattr(homology.ChainComplexZ2, "__init__",
-                        lambda c, simplices, index: built.append(c)
-                        or real_init(c, simplices, index))
+                        lambda c, simplices, index, base=None: built.append(c)
+                        or real_init(c, simplices, index, base))
     reductions = defaultdict(list)
     real_reduction = homology._clearing_reduction
 
@@ -115,13 +124,27 @@ def test_analyze_at_sd1_builds_each_fact_of_a_complex_once(monkeypatch):
     monkeypatch.setattr(duality, "is_certified_manifold",
                         lambda k, n: checks.append((k, n)) or real_certified(k, n))
     analyze_instance(f)
-    assert len(built) == len({id(k) for k, in asked}) == 5  # M, N, f(M), A, B
-    # H^1(N) is never reduced: Sd(octahedron) has b1 = 0, and every H^1(N)
-    # consumer only iterates its (empty) basis; H^0(N) gives the duals of
-    # H_0(N), whose coordinates theta_pushforward_check reads
-    assert len({(c, cohomology) for c, cohomology, _ in reductions}) == 9
-    cn = homology.chain_complex(f.codomain)
-    assert [d for c, cohomology, d in reductions if (c, cohomology) == (cn, True)] == [0]
+    asked = {id(k) for k, in asked}
+    assert len(built) == 5  # M, N, f(M), A, B
+    # the bases hexagon and octahedron are asked too: the catalog built their
+    # chain complexes when it computed their Betti numbers
+    assert len(asked) == 7 and {id(m.base), id(n.base)} <= asked
+    incl, f_a = self_intersection_maps(f)
+    img, a, b = image_complex(f), incl.domain, f_a.codomain
+    by_complex = {id(homology.chain_complex(k)): k for k in (m, n, m.base, n.base, img, a, b)}
+    reduced = defaultdict(set)
+    for c, cohomology, d in reductions:
+        reduced[by_complex[id(c)]].add((cohomology, d))
+    # M and N are subdivisions: their (co)homology is carried, never reduced
+    assert m not in reduced and n not in reduced
+    # their bases are asked for reductions in degrees with β > 0 only:
+    # the hexagon's H_0, H_1, H^0 and H^1, and the octahedron's H_0 and the
+    # H^0 that gives the duals of H_0(N) read by theta_pushforward_check
+    assert reduced[m.base] == {(False, 0), (False, 1), (True, 0), (True, 1)}
+    assert reduced[n.base] == {(False, 0), (True, 0)}
+    # f(M), A and B have no base and are reduced as before
+    assert reduced[img] == {(False, 0), (False, 1)}
+    assert reduced[a] == reduced[b] == {(False, 0), (True, 0)}
     assert all(all(r is rs[0] for r in rs) for rs in reductions.values())
     assert Counter((k.name, n) for k, n in checks) == {(f.domain.name, 1): 1,
                                                        (f.codomain.name, 2): 1}
